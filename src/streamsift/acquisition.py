@@ -85,7 +85,9 @@ def la_epig_scores(model, X, y, targets):
     ok = evidence > 0.0
     w_post = np.zeros_like(lik)
     w_post[ok] = (w * lik[ok]) / evidence[ok, None]
-    updated = np.einsum("nk,mkc->nmc", w_post, cond_t)  # (N, M, C)
+    # (N, M, C) as one BLAS matmul over the flattened (target, class) axis
+    M, K, C = cond_t.shape
+    updated = (w_post @ cond_t.transpose(1, 0, 2).reshape(K, M * C)).reshape(-1, M, C)
     h_post = entropy_of_array(updated).mean(axis=1)  # (N,)
     scores = h_prior - h_post
     scores[~ok] = np.nan

@@ -33,32 +33,54 @@ class DirichletHistogramClassifier(Model):
         self.seed = int(seed)
         self.dim = self.lower.shape[0]
         self.num_bins = self.bins_per_dim ** self.dim
-        self.concentrations = np.full((self.num_bins, self.num_classes), self.alpha0)
+        # concentrations of the occupied bins only; every other bin is alpha0
+        self._occupied = {}
         self._fit_generation = 0
         self._sample_cache = {}
 
-    def bin_index(self, x):
-        """Flat bin index of an input; the upper box edge maps to the last bin."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != self.lower.shape:
-            raise ValidationError(f"input dim {x.shape} != box dim {self.lower.shape}")
-        if np.any(x < self.lower) or np.any(x > self.upper):
+    def concentrations(self, b):
+        """Dirichlet concentrations of flat bin b, shape (C,)."""
+        alpha = self._occupied.get(b)
+        if alpha is None:
+            alpha = np.full(self.num_classes, self.alpha0)
+        return alpha
+
+    def bin_indices(self, X):
+        """Flat bin index of each row of X; the upper box edge maps to the
+        last bin."""
+        X = np.asarray(X, dtype=float)
+        if X.shape[1:] != self.lower.shape:
             raise ValidationError(
-                f"input {x.tolist()} outside bounding box "
+                f"input dim {X.shape[1:]} != box dim {self.lower.shape}"
+            )
+        outside = np.flatnonzero(np.any((X < self.lower) | (X > self.upper), axis=1))
+        if outside.size:
+            raise ValidationError(
+                f"input {X[outside[0]].tolist()} outside bounding box "
                 f"[{self.lower.tolist()}, {self.upper.tolist()}]"
             )
         width = (self.upper - self.lower) / self.bins_per_dim
-        per_dim = np.minimum(((x - self.lower) / width).astype(int), self.bins_per_dim - 1)
-        return int(np.ravel_multi_index(per_dim, (self.bins_per_dim,) * self.dim))
+        per_dim = np.minimum(((X - self.lower) / width).astype(int), self.bins_per_dim - 1)
+        return np.ravel_multi_index(per_dim.T, (self.bins_per_dim,) * self.dim)
+
+    def bin_index(self, x):
+        """Flat bin index of a single input."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return int(self.bin_indices(x[None, :])[0])
 
     def fit(self, examples):
         """Reset every bin to the prior, then add one count per example."""
-        self.concentrations = np.full((self.num_bins, self.num_classes), self.alpha0)
         X, y = dataset_arrays(examples)
-        for x, label in zip(X, y):
-            if label >= self.num_classes:
-                raise FitError(f"label {label} out of range for C={self.num_classes}")
-            self.concentrations[self.bin_index(x), label] += 1.0
+        # the first bad row in input order decides which error is raised
+        bad_label = np.flatnonzero(y >= self.num_classes)
+        first_bad = bad_label[0] if bad_label.size else len(y)
+        bins = self.bin_indices(X[:first_bad]) if first_bad else np.zeros(0, dtype=int)
+        if bad_label.size:
+            raise FitError(f"label {y[first_bad]} out of range for C={self.num_classes}")
+        occupied, inverse = np.unique(bins, return_inverse=True)
+        alpha = np.full((occupied.size, self.num_classes), self.alpha0)
+        np.add.at(alpha, (inverse, y), 1.0)
+        self._occupied = dict(zip(occupied.tolist(), alpha))
         self._fit_generation += 1
         self._sample_cache = {}
         return self
@@ -70,7 +92,7 @@ class DirichletHistogramClassifier(Model):
             rng = np.random.default_rng(
                 np.random.SeedSequence([self.seed, self._fit_generation, b])
             )
-            cached = rng.dirichlet(self.concentrations[b], size=self.num_samples)
+            cached = rng.dirichlet(self.concentrations(b), size=self.num_samples)
             self._sample_cache[b] = cached
         return cached
 
@@ -78,20 +100,24 @@ class DirichletHistogramClassifier(Model):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
-        return np.stack([self._bin_samples(self.bin_index(x)) for x in X])
+        bins, inverse = np.unique(self.bin_indices(X), return_inverse=True)
+        samples = np.empty((len(bins), self.num_samples, self.num_classes))
+        for i, b in enumerate(bins.tolist()):
+            samples[i] = self._bin_samples(b)
+        return samples[inverse]
 
     # --- exact conjugate quantities -------------------------------------
 
     def exact_posterior_predictive(self, x):
         """Exact predictive at x: normalized concentrations of its bin."""
-        alpha = self.concentrations[self.bin_index(x)]
+        alpha = self.concentrations(self.bin_index(x))
         return alpha / alpha.sum()
 
     def exact_updated_predictive(self, x, y, x_star=None):
         """Exact predictive at x_star after a conjugate update on (x, y)."""
         b = self.bin_index(x)
         b_star = b if x_star is None else self.bin_index(x_star)
-        alpha = self.concentrations[b_star].copy()
+        alpha = self.concentrations(b_star).copy()
         if b_star == b:
             alpha[int(y)] += 1.0
         return alpha / alpha.sum()
@@ -101,7 +127,7 @@ class DirichletHistogramClassifier(Model):
 
         Bins are independent, so only the touched bin contributes.
         """
-        alpha = self.concentrations[self.bin_index(x)]
+        alpha = self.concentrations(self.bin_index(x))
         alpha_post = alpha.copy()
         alpha_post[int(y)] += 1.0
         return dirichlet_kl(alpha_post, alpha)

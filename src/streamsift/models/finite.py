@@ -10,13 +10,23 @@ import numpy as np
 
 from ..errors import DegenerateEvidenceError, GridLookupError, ValidationError
 from ..prob import SUM_ATOL
-from .base import Model
+from .base import Model, dataset_arrays
 
 # matching tolerance for grid lookups
 GRID_ATOL = 1e-9
+# inputs per lookup block: a block holds at most this many times G candidate
+# grid rows, even when every grid row shares the sort coordinate
+_LOOKUP_BLOCK = 256
 
 
 class FiniteHypothesisModel(Model):
+    """Exact Bayes over J hypotheses tabulated on a finite input grid.
+
+    An input x maps to the lowest grid row g with |grid[g, d] - x[d]| <=
+    GRID_ATOL on every coordinate d; an input that matches no row raises
+    :class:`GridLookupError` naming the first such input.
+    """
+
     def __init__(self, grid, tables, prior_weights=None):
         """
         Parameters
@@ -53,24 +63,66 @@ class FiniteHypothesisModel(Model):
         self.posterior = prior.copy()
         self.num_classes = self.tables.shape[2]
         self.num_samples = J
+        # grid rows sorted by their first coordinate, for windowed lookups
+        self._order = np.argsort(self.grid[:, 0], kind="stable")
+        self._keys = self.grid[self._order, 0]
+
+    def _lookup(self, X):
+        """Lowest matching grid row for each row of X, or -1 where none.
+
+        Each input is compared on every coordinate with the grid rows whose
+        first coordinate lies within 2 * GRID_ATOL of its own. Rounding that
+        bound moves it by half an ulp, which stays below GRID_ATOL wherever a
+        row other than the input itself can pass the test, so the window
+        holds every row the test accepts.
+        """
+        out = np.full(len(X), -1, dtype=np.intp)
+        G = self.grid.shape[0]
+        for start in range(0, len(X), _LOOKUP_BLOCK):
+            block = X[start:start + _LOOKUP_BLOCK]
+            x0 = block[:, 0]
+            lo = np.searchsorted(self._keys, x0 - 2.0 * GRID_ATOL, side="left")
+            hi = np.searchsorted(self._keys, x0 + 2.0 * GRID_ATOL, side="right")
+            width = hi - lo
+            row = np.repeat(np.arange(len(block)), width)
+            offset = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+            cand = self._order[lo[row] + offset]
+            match = np.all(np.abs(self.grid[cand] - block[row]) <= GRID_ATOL, axis=1)
+            best = np.full(len(block), G, dtype=np.intp)
+            np.minimum.at(best, row[match], cand[match])
+            out[start:start + len(block)] = np.where(best < G, best, -1)
+        return out
+
+    def grid_indices(self, X):
+        """Grid row of each row of X (see the class docstring)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[:, None]
+        idx = self._lookup(X)
+        missing = np.flatnonzero(idx < 0)
+        if missing.size:
+            raise GridLookupError(
+                f"input {X[missing[0]].tolist()} is not on the model grid"
+            )
+        return idx
 
     def grid_index(self, x):
-        x = np.asarray(x, dtype=float)
-        hits = np.flatnonzero(np.all(np.abs(self.grid - x) <= GRID_ATOL, axis=1))
-        if hits.size == 0:
-            raise GridLookupError(f"input {x.tolist()} is not on the model grid")
-        return int(hits[0])
+        """Grid row of a single input."""
+        return int(self.grid_indices(np.reshape(x, (1, -1)))[0])
 
     def fit(self, examples):
         """Reset to the prior, then update exactly on each example in turn."""
+        X, y = dataset_arrays(examples)
+        idx = self._lookup(X)
         w = self.prior.copy()
-        for ex in examples:
-            g = self.grid_index(ex.features)
-            w = w * self.tables[:, g, ex.label]
+        for x, g, label in zip(X, idx, y):
+            if g < 0:
+                raise GridLookupError(f"input {x.tolist()} is not on the model grid")
+            w = w * self.tables[:, g, label]
             total = w.sum()
             if total <= 0.0:
                 raise DegenerateEvidenceError(
-                    f"label {ex.label} at {ex.features.tolist()} has zero "
+                    f"label {label} at {x.tolist()} has zero "
                     "likelihood under every hypothesis"
                 )
             w = w / total
@@ -82,9 +134,6 @@ class FiniteHypothesisModel(Model):
         return self.posterior
 
     def conditionals(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        idx = np.array([self.grid_index(x) for x in X], dtype=int)
+        idx = self.grid_indices(X)
         # tables is (J, G, C); gather to (N, J, C)
         return self.tables[:, idx, :].transpose(1, 0, 2)

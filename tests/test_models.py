@@ -209,6 +209,56 @@ class TestDirichletHistogramClassifier:
             m.marginal_predict([0.4]).probs, e.weights @ e.conditionals, atol=1e-9
         )
 
+    def test_bins_and_draws_match_per_row(self):
+        """Batched binning and conditionals == the per-row formula and draws."""
+        rng = np.random.default_rng(5)
+        lower, upper, bins = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 2.5]), 2
+        m = DirichletHistogramClassifier(4, lower, upper, bins_per_dim=bins,
+                                         num_samples=16, seed=3)
+        X = rng.uniform(lower, upper, size=(60, 3))
+        X[:5] = upper
+        X[5:10] = lower
+        labels = rng.integers(0, 4, size=30)
+        m.fit([ex(x, int(c)) for x, c in zip(X[::2], labels)])
+        width = (upper - lower) / bins
+        counts = np.zeros((bins**3, 4))
+        for i, (x, b) in enumerate(zip(X, m.bin_indices(X))):
+            per_dim = np.minimum(((x - lower) / width).astype(int), bins - 1)
+            assert b == np.ravel_multi_index(per_dim, (bins,) * 3) == m.bin_index(x)
+            if i % 2 == 0:
+                counts[b, labels[i // 2]] += 1.0
+        for b in range(bins**3):
+            assert np.array_equal(m.concentrations(b), 1.0 + counts[b])
+        batch = m.conditionals(X)
+        for x, cond in zip(X, batch):
+            assert np.array_equal(cond, m.ensemble_predict(x).conditionals)
+
+    def test_fit_reports_first_bad_example(self):
+        m = DirichletHistogramClassifier(2, [0.0], [1.0])
+        with pytest.raises(ValidationError, match=r"input \[1\.5\]"):
+            m.fit([ex([0.5], 0), ex([1.5], 0), ex([0.5], 2)])
+        with pytest.raises(FitError):
+            m.fit([ex([0.5], 0), ex([0.5], 2), ex([1.5], 0)])
+
+    def test_memory_tracks_occupied_bins(self):
+        """4**12 bins x 3 classes would be a 400 MB dense table."""
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0.0, 1.0, size=(200, 12))
+        tracemalloc.start()
+        try:
+            m = DirichletHistogramClassifier(3, np.zeros(12), np.ones(12))
+            m.fit([ex(x, int(c)) for x, c in zip(X, rng.integers(0, 3, size=200))])
+            cond = m.conditionals(X[:50])
+            exact = m.exact_posterior_predictive(X[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cond.shape == (50, 100, 3)
+        assert exact.sum() == pytest.approx(1.0)
+        assert peak < 10 * 2**20
+
     def test_exact_updated_predictive_cross_bin(self):
         m = DirichletHistogramClassifier(2, [0.0], [1.0], bins_per_dim=2)
         m.fit([ex([0.25], 0)])

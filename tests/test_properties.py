@@ -1,0 +1,205 @@
+"""Property tests: vectorized kernels against the loops they replaced."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamsift import (
+    FiniteHypothesisModel,
+    GridLookupError,
+    LabelledExample,
+    TargetSet,
+)
+from streamsift.acquisition import epig_scores, la_epig_scores
+from streamsift.models.finite import GRID_ATOL
+from streamsift.prob import entropy_of_array
+
+OFFSETS = (0.0, 0.5 * GRID_ATOL, -0.5 * GRID_ATOL, GRID_ATOL, -GRID_ATOL,
+           2 * GRID_ATOL, -2 * GRID_ATOL)
+
+
+# --- reference implementations ---------------------------------------------
+
+
+def scan_index(grid, x):
+    """The per-input linear scan: lowest row within GRID_ATOL, else -1."""
+    hits = np.flatnonzero(np.all(np.abs(grid - x) <= GRID_ATOL, axis=1))
+    return int(hits[0]) if hits.size else -1
+
+
+def loop_fit(model, examples):
+    """Sequential exact Bayes with one scan per example."""
+    w = model.prior.copy()
+    for ex in examples:
+        w = w * model.tables[:, scan_index(model.grid, ex.features), ex.label]
+        w = w / w.sum()
+    return w
+
+
+def einsum_la_epig(model, X, y, targets):
+    """LA-EPIG with the posterior predictive contracted by einsum."""
+    cond_x, w = model.conditionals(X), model.sample_weights
+    cond_t = model.conditionals(targets.inputs)
+    h_prior = entropy_of_array(np.einsum("k,mkc->mc", w, cond_t)).mean()
+    lik = cond_x[np.arange(len(y)), :, y]
+    evidence = lik @ w
+    ok = evidence > 0.0
+    w_post = np.zeros_like(lik)
+    w_post[ok] = (w * lik[ok]) / evidence[ok, None]
+    updated = np.einsum("nk,mkc->nmc", w_post, cond_t)
+    scores = h_prior - entropy_of_array(updated).mean(axis=1)
+    scores[~ok] = np.nan
+    return scores
+
+
+# --- grid lookup ---------------------------------------------------------------
+
+
+def uniform_model(grid):
+    grid = np.asarray(grid, dtype=float)
+    return FiniteHypothesisModel(grid, np.full((1, grid.shape[0], 2), 0.5))
+
+
+def check_lookup(grid, X):
+    model = uniform_model(grid)
+    X = np.asarray(X, dtype=float).reshape(-1, model.grid.shape[1])
+    expected = [scan_index(model.grid, x) for x in X]
+    for x, g in zip(X, expected):
+        if g >= 0:
+            assert model.grid_index(x) == g
+    if -1 in expected:
+        first = X[expected.index(-1)]
+        with pytest.raises(GridLookupError) as err:
+            model.conditionals(X)
+        assert str(err.value) == f"input {first.tolist()} is not on the model grid"
+    else:
+        assert model.grid_indices(X).tolist() == expected
+        assert np.array_equal(
+            model.conditionals(X), model.tables[:, expected, :].transpose(1, 0, 2)
+        )
+
+
+@st.composite
+def grids_and_inputs(draw):
+    G = draw(st.integers(1, 10))
+    D = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e6, 2.0**23]))
+    base = draw(st.lists(st.integers(-2, 2), min_size=G * D, max_size=G * D))
+    offsets = draw(st.lists(st.sampled_from(OFFSETS), min_size=G * D, max_size=G * D))
+    grid = scale * np.array(base, dtype=float).reshape(G, D)
+    grid = grid + np.array(offsets).reshape(G, D)
+    if draw(st.booleans()):
+        grid[:, 0] = grid[0, 0]
+    X = []
+    for _ in range(draw(st.integers(0, 8))):
+        x = grid[draw(st.integers(0, G - 1))].copy()
+        x[draw(st.integers(0, D - 1))] += draw(st.sampled_from(OFFSETS + (0.25,)))
+        X.append(x)
+    return grid, np.array(X).reshape(-1, D)
+
+
+class TestGridLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_inputs())
+    def test_matches_linear_scan(self, case):
+        check_lookup(*case)
+
+    def test_rows_within_tolerance_of_one_another(self):
+        grid = [[1.0 + 0.6 * GRID_ATOL, 0.0], [1.0, 0.0], [1.0 - 0.6 * GRID_ATOL, 0.0]]
+        check_lookup(grid, [[1.0, 0.0], [1.0 - GRID_ATOL, 0.0], [1.0 + GRID_ATOL, 0.0]])
+
+    def test_half_tolerance_hits_twice_tolerance_misses(self):
+        grid = [[0.0, 0.0], [1.0, 2.0]]
+        hit = [[1.0 + 0.5 * GRID_ATOL, 2.0], [1.0, 2.0 - 0.5 * GRID_ATOL]]
+        check_lookup(grid, hit)
+        check_lookup(grid, hit + [[1.0, 2.0 + 2 * GRID_ATOL], [1.0 + 2 * GRID_ATOL, 2.0]])
+
+    def test_one_dimensional_grid(self):
+        check_lookup(np.arange(5.0), [3.0, 0.0, 4.0 - 0.5 * GRID_ATOL, 2.5])
+
+    def test_constant_sort_coordinate(self):
+        grid = np.column_stack([np.zeros(600), np.arange(600.0) % 300])
+        X = np.column_stack([np.zeros(700), np.arange(700.0) % 350])
+        check_lookup(grid, X[:300])
+        check_lookup(grid, X)
+
+    def test_no_inputs(self):
+        check_lookup([[0.0, 1.0]], np.zeros((0, 2)))
+        assert uniform_model([[0.0, 1.0]]).conditionals(np.zeros((0, 2))).shape == (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+    def test_fit_matches_per_example_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        G, J, C = 6, int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        grid = rng.integers(-2, 3, size=(G, 2)).astype(float)
+        model = FiniteHypothesisModel(
+            grid, rng.dirichlet(np.ones(C), size=(J, G)), rng.dirichlet(np.ones(J))
+        )
+        rows = rng.integers(0, G, size=n)
+        X = grid[rows] + rng.choice(OFFSETS[:3], size=(n, 2))
+        examples = [LabelledExample(x, int(c)) for x, c in zip(X, rng.integers(0, C, n))]
+        assert np.array_equal(model.fit(examples).posterior, loop_fit(model, examples))
+
+    def test_fit_names_first_off_grid_example(self):
+        model = uniform_model([[0.0], [1.0]])
+        examples = [LabelledExample([x], 0) for x in (1.0, 0.5, 3.0)]
+        with pytest.raises(GridLookupError, match=r"input \[0\.5\] is not"):
+            model.fit(examples)
+
+
+# --- LA-EPIG -----------------------------------------------------------------
+
+
+def random_ensemble(rng, J, C, G):
+    """Non-uniform weights, some zero; class 1 impossible at grid row 0."""
+    tables = rng.dirichlet(np.ones(C), size=(J, G))
+    tables[rng.uniform(size=tables.shape) < 0.2] = 0.0
+    tables[:, 0, 1] = 0.0
+    tables[:, :, 0] += tables.sum(axis=2) == 0.0
+    tables /= tables.sum(axis=2, keepdims=True)
+    prior = rng.dirichlet(np.ones(J))
+    prior[rng.uniform(size=J) < 0.3] = 0.0
+    prior[0] += prior.sum() == 0.0
+    model = FiniteHypothesisModel(np.arange(float(G)), tables, prior / prior.sum())
+    targets = TargetSet(rng.integers(0, G, size=int(rng.integers(1, 6))).astype(float))
+    return model, targets
+
+
+class TestLAEpigKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 5))
+    def test_matches_einsum_path(self, seed, J, C):
+        rng = np.random.default_rng(seed)
+        G = 6
+        model, targets = random_ensemble(rng, J, C, G)
+        N = 3 * G
+        X = np.tile(np.arange(float(G)), 3)
+        y = rng.integers(0, C, size=N)
+        y[0] = 1
+        new = la_epig_scores(model, X, y, targets)
+        old = einsum_la_epig(model, X[:, None], y, targets)
+        assert np.isnan(new[0])
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        ok = ~np.isnan(old)
+        assert np.allclose(new[ok], old[ok], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("C", [2, 10])
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_epig_is_label_mixture_of_la_epig(self, C, seed):
+        rng = np.random.default_rng(seed)
+        G = 5
+        model, targets = random_ensemble(rng, int(rng.integers(1, 9)), C, G)
+        X = np.arange(float(G))
+        marg = model.marginal_predict_batch(X)
+        mix = np.zeros(G)
+        for c in range(C):
+            la = la_epig_scores(model, X, np.full(G, c), targets)
+            assert np.array_equal(np.isnan(la), marg[:, c] == 0.0)
+            mix += np.where(marg[:, c] > 0.0, marg[:, c] * np.nan_to_num(la), 0.0)
+        assert np.allclose(epig_scores(model, X, targets), mix, rtol=0.0, atol=1e-12)
