@@ -32,7 +32,7 @@ CONFIG = {
 for objective in ("epig", "random"):
     config = {**CONFIG, "objective": {"name": objective},
               "output": {"dir": f"experiment_output/{objective}"}}
-    result = run_experiment(config, workers=4)
+    result = run_experiment(config)
     write_results(result, config["output"]["dir"])
     mean = result.summary["per_step_mean_accuracy"]
     err = result.summary["per_step_stderr"]

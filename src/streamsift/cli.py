@@ -14,17 +14,22 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .acquisition import OBJECTIVES, TargetSet, score_pool
 from .config import (
+    TRAINING_DEFAULTS,
     default_seed,
     load_config,
     validate_model_spec,
 )
 from .demo import run_demo
 from .errors import ConfigError, DataFormatError, StreamsiftError
-from .harness import ExperimentConfig, build_model, run_experiment, write_results
+from .harness import (
+    ExperimentConfig,
+    build_model,
+    infer_box,
+    run_experiment,
+    write_results,
+)
 from .rng import derive_seed
 from .streams import load_csv, load_features_csv
 
@@ -46,8 +51,6 @@ def _build_parser():
         "--override", action="append", default=[], metavar="PATH=VALUE",
         help="dotted-path config override, e.g. store.m=250 or seeds=[1,2]",
     )
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="parallel seed workers (results are order-stable)")
 
     p_demo = sub.add_parser("demo", help="render the two-bells heatmaps")
     p_demo.add_argument("--resolution", type=int, default=64)
@@ -77,7 +80,7 @@ def _build_parser():
 def cmd_run(args):
     config_dict = load_config(args.config, overrides=args.override)
     config = ExperimentConfig(**config_dict)
-    result = run_experiment(config, workers=max(1, args.workers))
+    result = run_experiment(config)
     paths = write_results(result, config.output["dir"])
     ok = result.summary["seeds_ok"]
     failed = result.summary["seeds_failed"]
@@ -134,16 +137,11 @@ def cmd_score(args):
 
     num_classes = max(2, max(ex.label for ex in store + candidates) + 1)
     num_features = store[0].features.shape[0]
-    if spec["kind"] == "dirichlet" and (spec["lower"] is None or spec["upper"] is None):
-        pts = [ex.features for ex in store + candidates]
-        if targets is not None:
-            pts.extend(targets.inputs)
-        stacked = np.vstack(pts)
-        spec = dict(spec, lower=(stacked.min(axis=0) - 1e-6).tolist(),
-                    upper=(stacked.max(axis=0) + 1e-6).tolist())
-    training = {"lr": 0.01, "max_steps": 200, "weight_decay": 1e-4, "val_fraction": 0.1}
-    model = build_model(spec, num_classes, num_features, args.sample_count,
-                        training, derive_seed(seed, 1))
+    box_points = [ex.features for ex in store + candidates]
+    if targets is not None:
+        box_points.append(targets.inputs)
+    model = build_model(infer_box(spec, box_points), num_classes, num_features,
+                        args.sample_count, TRAINING_DEFAULTS, derive_seed(seed, 1))
     model.fit(store)
     ranked = score_pool(args.objective, model, candidates, targets=targets,
                         seed=derive_seed(seed, 2), eta=args.eta)

@@ -12,9 +12,11 @@ import os
 
 from .acquisition import OBJECTIVES
 from .errors import ConfigError
-from .store import STRATEGIES
 
 ENV_SEED_VAR = "STREAMSIFT_SEED"
+
+TRAINING_DEFAULTS = {"lr": 0.01, "max_steps": 200, "weight_decay": 1e-4,
+                     "val_fraction": 0.1, "refit_every": 1}
 
 
 def default_seed():
@@ -159,8 +161,9 @@ def validate_config(raw):
     store = _require(raw, "store", "config")
     _check_keys(store, {"strategy", "m", "quota", "tau"}, "store")
     strategy = store.get("strategy", "D")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown store.strategy {strategy!r}")
+    if strategy != "D":
+        raise ConfigError(f"store.strategy must be 'D' (the harness runs no other), "
+                          f"got {strategy!r}")
     m = _as_int(_require(store, "m", "store"), "store.m", 1)
     if "quota" in store and store["quota"] is not None:
         quota = _as_int(store["quota"], "store.quota", 1)
@@ -198,17 +201,14 @@ def validate_config(raw):
     out["sampling"] = {"K": _as_int(sampling.get("K", 20), "sampling.K", 1)}
 
     training = raw.get("training", {})
-    _check_keys(
-        training,
-        {"lr", "max_steps", "weight_decay", "val_fraction", "refit_every"},
-        "training",
-    )
+    _check_keys(training, set(TRAINING_DEFAULTS), "training")
+    training = {**TRAINING_DEFAULTS, **training}
     out["training"] = {
-        "lr": _as_num(training.get("lr", 0.01), "training.lr", 0.0),
-        "max_steps": _as_int(training.get("max_steps", 200), "training.max_steps", 0),
-        "weight_decay": _as_num(training.get("weight_decay", 1e-4), "training.weight_decay", 0.0),
-        "val_fraction": _as_num(training.get("val_fraction", 0.1), "training.val_fraction", 0.0),
-        "refit_every": _as_int(training.get("refit_every", 1), "training.refit_every", 1),
+        "lr": _as_num(training["lr"], "training.lr", 0.0),
+        "max_steps": _as_int(training["max_steps"], "training.max_steps", 0),
+        "weight_decay": _as_num(training["weight_decay"], "training.weight_decay", 0.0),
+        "val_fraction": _as_num(training["val_fraction"], "training.val_fraction", 0.0),
+        "refit_every": _as_int(training["refit_every"], "training.refit_every", 1),
     }
 
     seeds = raw.get("seeds", [default_seed()])

@@ -2,16 +2,16 @@
 training over a stream, with accuracy tracking, cost accounting, seeded
 repeats and results serialization.
 
-The driver realizes the addition-based store strategy (D): at each stream
-step it moves ``quota`` examples from the step's candidate batch into the
-store, one at a time, refitting the model before each decision; after the
-step it refits on the full store and records test accuracy. Failed seeds are
-reported, excluded from aggregates, and never abort the batch.
+The driver runs the addition-based store strategy (D) through
+``store.strategy_steps``: its selector moves ``quota`` examples from each
+step's batch into the store one at a time, refitting the model before each
+decision; after each step the driver refits on the full store and records
+test accuracy. Seeds run in turn; failed seeds are reported, excluded from
+aggregates, and never abort the batch.
 """
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .models import (
     dataset_arrays,
 )
 from .rng import derive_seed, rng_from
-from .store import CostLedger
+from .store import CostLedger, strategy_steps
 from .streams import (
     load_csv,
     load_features_csv,
@@ -191,8 +191,20 @@ def prepare_data(config, run_seed):
     }
 
 
-def build_model(spec, num_classes, num_features, K, training, seed, data=None):
-    """Instantiate a model from its validated spec dict."""
+def infer_box(spec, point_sets):
+    """Fill a dirichlet spec's missing lower/upper bounds with the bounding box
+    of the rows of every array in ``point_sets``, widened by 1e-6 per side.
+    Any other spec is returned unchanged."""
+    if spec["kind"] != "dirichlet" or None not in (spec["lower"], spec["upper"]):
+        return spec
+    stacked = np.vstack([np.atleast_2d(p) for p in point_sets if np.size(p)])
+    return dict(spec, lower=(stacked.min(axis=0) - 1e-6).tolist(),
+                upper=(stacked.max(axis=0) + 1e-6).tolist())
+
+
+def build_model(spec, num_classes, num_features, K, training, seed):
+    """Instantiate a model from its validated spec dict (see :func:`infer_box`
+    for a dirichlet spec without bounds)."""
     kind = spec["kind"]
     if kind == "forest":
         return BootstrapForest(
@@ -207,19 +219,10 @@ def build_model(spec, num_classes, num_features, K, training, seed, data=None):
             val_fraction=training["val_fraction"], num_samples=K, seed=seed,
         )
     if kind == "dirichlet":
-        lower, upper = spec["lower"], spec["upper"]
-        if lower is None or upper is None:
-            if data is None:
-                raise ConfigError("dirichlet model needs explicit lower/upper bounds here")
-            pts = [ex.features for batch in data["schedule"] for ex in batch]
-            pts += [ex.features for ex in data["eval_set"]]
-            if data["target_pool"].size:
-                pts.append(data["target_pool"].reshape(-1, data["target_pool"].shape[-1]))
-            stacked = np.vstack([np.atleast_2d(p) for p in pts])
-            lower = (stacked.min(axis=0) - 1e-6).tolist()
-            upper = (stacked.max(axis=0) + 1e-6).tolist()
+        if spec["lower"] is None or spec["upper"] is None:
+            raise ConfigError("dirichlet model needs explicit lower/upper bounds here")
         return DirichletHistogramClassifier(
-            num_classes, lower, upper, bins_per_dim=spec["bins_per_dim"],
+            num_classes, spec["lower"], spec["upper"], bins_per_dim=spec["bins_per_dim"],
             alpha0=spec["alpha0"], num_samples=K, seed=seed,
         )
     if kind == "finite_hypothesis":
@@ -270,12 +273,15 @@ def evaluate_accuracy(model, eval_set):
 # --- main loop ----------------------------------------------------------------
 
 
-def _try_fit(model, store):
-    """Fit on the current store; False when the model rejects it (cold start)."""
+def _try_fit(model, examples):
+    """Fit on ``examples``; False when they are empty and the model cannot
+    fit an empty set (a cold start). Any other fit failure propagates."""
     try:
-        model.fit(store)
+        model.fit(examples)
         return True
     except FitError:
+        if examples:
+            raise
         return False
 
 
@@ -293,21 +299,24 @@ def _score_summary(ranked):
 def _run_seed(config, run_seed, timing):
     objective = config.objective["name"]
     eta = config.objective["eta"]
-    quota = config.store["quota"]
-    if config.store["strategy"] != "D":
-        raise ConfigError(
-            "run_experiment implements the addition-based store strategy 'D'; "
-            f"got {config.store['strategy']!r}"
-        )
+    refit_every = config.training["refit_every"]
 
     t0 = time.perf_counter()
     data = prepare_data(config, run_seed)
     timing["data_prep"] += time.perf_counter() - t0
 
+    # the auxiliary rho_loss model bins the holdout, so its box must cover it
+    box_points = [ex.features for batch in data["schedule"] for ex in batch]
+    box_points += [ex.features for ex in data["eval_set"]]
+    box_points.append(data["target_pool"])
+    if objective == "rho_loss":
+        box_points += [ex.features for ex in data["holdout"]]
+    spec = infer_box(config.model, box_points)
+
     K = config.sampling["K"]
     model = build_model(
-        config.model, data["num_classes"], data["num_features"], K,
-        config.training, derive_seed(run_seed, _TAG_MODEL), data=data,
+        spec, data["num_classes"], data["num_features"], K,
+        config.training, derive_seed(run_seed, _TAG_MODEL),
     )
     aux_model = None
     if objective == "rho_loss":
@@ -316,26 +325,20 @@ def _run_seed(config, run_seed, timing):
                 "rho_loss needs a non-empty holdout split for the auxiliary model"
             )
         aux_model = build_model(
-            config.model, data["num_classes"], data["num_features"], K,
-            config.training, derive_seed(run_seed, _TAG_AUX), data=data,
+            spec, data["num_classes"], data["num_features"], K,
+            config.training, derive_seed(run_seed, _TAG_AUX),
         )
         t0 = time.perf_counter()
         aux_model.fit(data["holdout"])
         timing["fitting"] += time.perf_counter() - t0
 
     run = SeedRun(seed=run_seed)
-    store = []
-    origins = []
-    ledger = CostLedger()
-    refit_every = config.training["refit_every"]
-    model_fitted = False
 
-    for t, batch in enumerate(data["schedule"].steps):
-        if quota > len(batch):
-            raise ConfigError(
-                f"store.quota = {quota} exceeds the step-{t} batch size {len(batch)}"
-            )
+    def select(batch, quota, t, store):
+        """Greedy per-slot selection: score the remaining candidates with the
+        model fitted on the store plus this step's picks, take the best."""
         remaining = list(range(len(batch)))
+        picked = []
         targets = None
         if objective in ("epig", "la_epig"):
             targets = build_target_set(
@@ -343,7 +346,7 @@ def _run_seed(config, run_seed, timing):
                 {"target_pool": data["target_pool"], "schedule": data["schedule"], "step": t},
                 derive_seed(run_seed, _TAG_TARGETS, t),
             )
-        selections_since_fit = refit_every  # force a refit at the first slot
+        fitted, since_fit = False, 0
         for slot in range(quota):
             candidates = [batch[i] for i in remaining]
             diag = {}
@@ -353,12 +356,12 @@ def _run_seed(config, run_seed, timing):
                 ranked = score_pool("random", None, candidates, seed=sel_seed,
                                     diagnostics=diag)
             else:
-                if not model_fitted or selections_since_fit >= refit_every:
+                if not fitted or since_fit >= refit_every:
                     t0 = time.perf_counter()
-                    model_fitted = _try_fit(model, store)
+                    fitted = _try_fit(model, store.examples + [batch[i] for i in picked])
                     timing["fitting"] += time.perf_counter() - t0
-                    selections_since_fit = 0
-                if model_fitted:
+                    since_fit = 0
+                if fitted:
                     t0 = time.perf_counter()
                     ranked = score_pool(
                         objective, model, candidates, targets=targets,
@@ -371,37 +374,35 @@ def _run_seed(config, run_seed, timing):
                     cold_start = True
                     ranked = score_pool("random", None, candidates, seed=sel_seed,
                                         diagnostics=diag)
-            chosen_local = ranked[0].candidate_index
-            chosen_batch_index = remaining[chosen_local]
-            store.append(batch[chosen_batch_index])
-            origins.append(t)
-            remaining.pop(chosen_local)
-            selections_since_fit += 1
+            chosen = remaining.pop(ranked[0].candidate_index)
+            picked.append(chosen)
+            since_fit += 1
             run.selections.append({
                 "step": t,
                 "slot": slot,
-                "chosen": int(chosen_batch_index),
+                "chosen": int(chosen),
                 "score": ranked[0].value,
                 "summary": _score_summary(ranked),
                 "degenerate": len(diag.get("degenerate_candidates", [])),
                 "cold_start": cold_start,
                 "target_evaluations": diag.get("target_evaluations", 0),
             })
+        return picked
 
-        ledger.charge_storage(len(store))
-        ledger.charge_selection(quota, len(batch))
-        ledger.charge_training(len(store), tau=config.store["tau"])
-        ledger.end_step()
-
+    ledger = CostLedger()
+    origins = []
+    steps = strategy_steps("D", data["schedule"], select, config.store["quota"],
+                           ledger, tau=config.store["tau"])
+    for t, store in enumerate(steps):
         t0 = time.perf_counter()
-        model.fit(store)
-        model_fitted = True
+        model.fit(store.examples)
         timing["fitting"] += time.perf_counter() - t0
         t0 = time.perf_counter()
         run.accuracies.append(evaluate_accuracy(model, data["eval_set"]))
         timing["evaluation"] += time.perf_counter() - t0
 
-        labels = [ex.label for ex in store]
+        origins += [t] * (len(store) - len(origins))
+        labels = [ex.label for ex in store.examples]
         run.store_track.append({
             "step": t,
             "size": len(store),
@@ -415,32 +416,23 @@ def _run_seed(config, run_seed, timing):
     return run
 
 
-def run_experiment(config, workers=1):
-    """Run every seed and aggregate. Returns an ExperimentResult."""
+def run_experiment(config):
+    """Run every seed in turn and aggregate. Returns an ExperimentResult.
+
+    ``timing`` holds each phase's time summed over the seeds, and ``total``
+    the wall time of the whole call.
+    """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
     timing = {"data_prep": 0.0, "fitting": 0.0, "scoring": 0.0, "evaluation": 0.0}
     wall = time.perf_counter()
-
-    def one(seed):
-        t = dict.fromkeys(timing, 0.0)
-        try:
-            run = _run_seed(config, seed, t)
-        except StreamsiftError as exc:
-            run = SeedRun(seed=seed, status="failed", error=f"{type(exc).__name__}: {exc}")
-        return run, t
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, config.seeds))
-    else:
-        outcomes = [one(s) for s in config.seeds]
-
     per_seed = []
-    for run, t in outcomes:
-        per_seed.append(run)
-        for key in timing:
-            timing[key] += t[key]
+    for seed in config.seeds:
+        try:
+            per_seed.append(_run_seed(config, seed, timing))
+        except StreamsiftError as exc:
+            per_seed.append(SeedRun(seed=seed, status="failed",
+                                    error=f"{type(exc).__name__}: {exc}"))
     timing["total"] = time.perf_counter() - wall
 
     ok = [r for r in per_seed if r.status == "ok"]

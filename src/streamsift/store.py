@@ -122,20 +122,19 @@ def random_selector(seed):
     """Seeded uniform-random selector usable with :func:`apply_strategy`."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
 
-    def select(examples, k, step):
+    def select(examples, k, step, store):
         return sorted(rng.choice(len(examples), size=k, replace=False).tolist())
 
     return select
 
 
-def apply_strategy(strategy, schedule, selector, m, tau=1, eviction_seed=0,
-                   cost_store=unit_cost, cost_select=unit_select_cost,
-                   cost_train=unit_cost):
-    """Run one Table-style strategy over a schedule.
+def strategy_steps(strategy, schedule, selector, m, ledger, tau=1, eviction_seed=0):
+    """Run one Table-style strategy over a schedule, yielding the live store
+    after each step once that step's costs are charged to ``ledger``.
 
-    ``selector(examples, k, step) -> indices`` picks k of the given examples
-    (unused by strategies A and B). Returns the per-step store snapshots and
-    the cost ledger. No model is trained here; training is an abstract
+    ``selector(examples, k, step, store) -> indices`` picks k of the given
+    examples (unused by strategies A and B); ``store`` is the store before
+    this step's additions. No model is trained here; training is an abstract
     charged event.
     """
     if strategy not in STRATEGIES:
@@ -145,10 +144,7 @@ def apply_strategy(strategy, schedule, selector, m, tau=1, eviction_seed=0,
     if strategy in ("C", "D", "E") and m < 1:
         raise ConfigError(f"strategy {strategy} needs a positive store budget m")
 
-    ledger = CostLedger(cost_store, cost_select, cost_train)
     store = DataStore(capacity=m if strategy == "E" else None)
-    snapshots = []
-
     for t, batch in enumerate(schedule.steps, start=1):
         n = len(batch)
         if strategy in ("D", "E") and m > n:
@@ -169,24 +165,29 @@ def apply_strategy(strategy, schedule, selector, m, tau=1, eviction_seed=0,
                 raise ConfigError(
                     f"strategy C requires m <= n*t; got m={m}, store={len(store)}"
                 )
-            selector(store.examples, m, t - 1)
+            selector(store.examples, m, t - 1, store)
             ledger.charge_storage(len(store))
             ledger.charge_selection(m, len(store), tau=tau)
             ledger.charge_training(m, tau=tau)
-        elif strategy == "D":
-            chosen = selector(batch, m, t - 1)
-            for i in chosen:
-                store.append(batch[i])
-            ledger.charge_storage(len(store))
-            ledger.charge_selection(m, n)
-            ledger.charge_training(len(store), tau=tau)
-        else:  # E
-            chosen = selector(batch, m, t - 1)
-            incoming = [batch[i] for i in chosen]
-            store = replace_policy(store, incoming, seed=[eviction_seed, t])
+        else:  # D appends the picks; E replaces them into a capacity-m store
+            incoming = [batch[i] for i in selector(batch, m, t - 1, store)]
+            if strategy == "D":
+                for ex in incoming:
+                    store.append(ex)
+            else:
+                store = replace_policy(store, incoming, seed=[eviction_seed, t])
             ledger.charge_storage(len(store))
             ledger.charge_selection(m, n)
             ledger.charge_training(len(store), tau=tau)
         ledger.end_step()
-        snapshots.append(store.snapshot())
-    return snapshots, ledger
+        yield store
+
+
+def apply_strategy(strategy, schedule, selector, m, tau=1, eviction_seed=0,
+                   cost_store=unit_cost, cost_select=unit_select_cost,
+                   cost_train=unit_cost):
+    """Run :func:`strategy_steps` to the end with a fresh ledger; returns the
+    per-step store snapshots and the cost ledger."""
+    ledger = CostLedger(cost_store, cost_select, cost_train)
+    steps = strategy_steps(strategy, schedule, selector, m, ledger, tau, eviction_seed)
+    return [store.snapshot() for store in steps], ledger

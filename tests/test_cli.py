@@ -47,6 +47,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "objective.name" in capsys.readouterr().err
 
+    def test_unsupported_strategy_exit_2_writes_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path, store={"strategy": "A", "m": 6})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "store.strategy" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -5,10 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from streamsift import ConfigError, run_experiment, write_results
+from streamsift import (
+    ConfigError,
+    TrainingDivergedError,
+    harness,
+    run_experiment,
+    write_results,
+)
 from streamsift.config import apply_overrides, validate_config
-from streamsift.harness import ExperimentConfig, build_target_set, evaluate_accuracy
-from streamsift.models import FiniteHypothesisModel
+from streamsift.harness import (
+    ExperimentConfig,
+    _try_fit,
+    build_target_set,
+    evaluate_accuracy,
+    infer_box,
+)
+from streamsift.models import BootstrapForest, FiniteHypothesisModel
 from streamsift.streams import StreamSchedule
 from streamsift.models.base import LabelledExample
 
@@ -93,11 +105,6 @@ class TestRunExperiment:
         b = run_experiment(blob_config())
         assert strip_timing(a.to_dict()) == strip_timing(b.to_dict())
 
-    def test_worker_count_invariance(self):
-        a = run_experiment(blob_config(), workers=1)
-        b = run_experiment(blob_config(), workers=2)
-        assert strip_timing(a.to_dict()) == strip_timing(b.to_dict())
-
     def test_ledger_matches_strategy_d(self):
         result = run_experiment(blob_config())
         run = result.per_seed[0]
@@ -126,6 +133,35 @@ class TestRunExperiment:
         rho_result = run_experiment(cfg)
         assert rho_result.per_seed[0].status == "ok"
 
+    def test_dirichlet_rho_loss_box_covers_holdout(self):
+        cfg = blob_config(model={"kind": "dirichlet"}, objective={"name": "rho_loss"})
+        cfg["stream"]["dataset"]["holdout_per_class"] = 10
+        result = run_experiment(cfg)
+        assert result.summary["seeds_failed"] == []
+
+    @pytest.mark.parametrize("refit_every, fit_sizes", [
+        # training-set size at each fit: refit slots, then the step-end fit;
+        # the step-0 slot-0 fit on the empty store fails, so slot 1 refits
+        (1, [0, 1, 2, 3, 4, 4, 5, 6, 7, 8]),
+        (2, [0, 1, 3, 4, 4, 6, 8]),
+        (4, [0, 1, 4, 4, 8]),
+    ])
+    def test_refit_every_schedule(self, monkeypatch, refit_every, fit_sizes):
+        sizes = []
+
+        class CountingForest(BootstrapForest):
+            def fit(self, examples):
+                sizes.append(len(examples))
+                return super().fit(examples)
+
+        monkeypatch.setattr(harness, "BootstrapForest", CountingForest)
+        cfg = blob_config(training={"refit_every": refit_every}, seeds=[0])
+        run = run_experiment(cfg).per_seed[0]
+        assert run.status == "ok"
+        assert sizes == fit_sizes
+        cold = [(s["step"], s["slot"]) for s in run.selections if s["cold_start"]]
+        assert cold == [(0, 0)]
+
     def test_dirichlet_and_mlp_models_run(self):
         cfg = blob_config(model={"kind": "dirichlet", "bins_per_dim": 6}, seeds=[0])
         assert run_experiment(cfg).per_seed[0].status == "ok"
@@ -140,6 +176,35 @@ class TestRunExperiment:
         cfg = blob_config(store={"m": 100, "quota": 50})
         result = run_experiment(cfg)
         assert result.summary["seeds_ok"] == []
+
+
+class TestTryFit:
+    def test_empty_set_is_a_cold_start(self):
+        assert _try_fit(BootstrapForest(2, num_trees=2, seed=0), []) is False
+
+    def test_divergence_on_a_nonempty_set_propagates(self):
+        class Diverging:
+            def fit(self, examples):
+                raise TrainingDivergedError("non-finite training loss: nan")
+
+        with pytest.raises(TrainingDivergedError):
+            _try_fit(Diverging(), [LabelledExample([0.0], 0)])
+
+
+class TestInferBox:
+    def test_covers_every_point_set(self):
+        spec = {"kind": "dirichlet", "bins_per_dim": 4, "alpha0": 1.0,
+                "lower": None, "upper": None}
+        box = infer_box(spec, [np.array([0.0, 2.0]), np.array([[1.0, -1.0], [3.0, 0.5]]),
+                               np.zeros((0, 0))])
+        assert box["lower"] == [-1e-6, -1.0 - 1e-6]
+        assert box["upper"] == [3.0 + 1e-6, 2.0 + 1e-6]
+
+    def test_explicit_bounds_and_other_models_unchanged(self):
+        spec = {"kind": "dirichlet", "lower": [0.0], "upper": [1.0]}
+        assert infer_box(spec, [np.array([5.0])]) is spec
+        forest = {"kind": "forest"}
+        assert infer_box(forest, [np.array([5.0])]) is forest
 
 
 class TestEvaluateAccuracy:
