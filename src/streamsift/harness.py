@@ -7,7 +7,10 @@ The driver runs the addition-based store strategy (D) through
 step's batch into the store one at a time, refitting the model before each
 decision; after each step the driver refits on the full store and records
 test accuracy. Seeds run in turn; failed seeds are reported, excluded from
-aggregates, and never abort the batch.
+aggregates, and never abort the batch. A ``ConfigError`` that shows only
+once a seed's data exist (a split stream without 2*T classes, ``targets.M``
+above the target pool, a quota above a batch) is the configuration's fault,
+not the seed's, so it propagates and the run produces no results.
 """
 
 import json
@@ -417,7 +420,8 @@ def _run_seed(config, run_seed, timing):
 
 
 def run_experiment(config):
-    """Run every seed in turn and aggregate. Returns an ExperimentResult.
+    """Run every seed in turn and aggregate. Returns an ExperimentResult;
+    raises ConfigError when any seed finds the configuration unusable.
 
     ``timing`` holds each phase's time summed over the seeds, and ``total``
     the wall time of the whole call.
@@ -430,6 +434,8 @@ def run_experiment(config):
     for seed in config.seeds:
         try:
             per_seed.append(_run_seed(config, seed, timing))
+        except ConfigError:
+            raise
         except StreamsiftError as exc:
             per_seed.append(SeedRun(seed=seed, status="failed",
                                     error=f"{type(exc).__name__}: {exc}"))

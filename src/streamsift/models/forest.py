@@ -4,6 +4,19 @@ Each tree is grown on an independent bootstrap resample; its conditional
 predictive at an input is the Laplace-smoothed class frequency of the leaf
 the input falls into. Smoothing keeps every leaf probability strictly
 positive so that likelihood reweighting never degenerates.
+
+Split rule: a node splits at the lowest weighted Gini impurity over every
+(feature, position) cell of its rows sorted by that feature, where a cell
+must leave at least ``min_leaf`` rows on each side and sit where the sorted
+value changes. Ties go to the lowest feature, then the lowest threshold; the
+threshold is the midpoint of the two values around the cell. Class counts
+are integers, so every score is exact up to the one float expression that
+computes it.
+
+Presort invariant: a tree argsorts its bootstrap rows once per feature
+(stably), and each node receives its rows in that order for every feature.
+A child's orders are the parent's filtered to the child's rows, which is the
+child's own stable argsort, so no node sorts again.
 """
 
 import numpy as np
@@ -12,11 +25,9 @@ from ..errors import FitError, ValidationError
 from .base import Model, dataset_arrays
 
 
-def _gini(counts):
-    """Gini impurity of rows of class counts, shape (..., C)."""
-    n = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(n > 0, counts / np.maximum(n, 1), 0.0)
+def _gini(counts, n):
+    """Gini impurity of rows of class counts, shape (V, C), with row totals n."""
+    p = counts / n[:, None]
     return 1.0 - (p * p).sum(axis=-1)
 
 
@@ -46,42 +57,40 @@ class _Tree:
         self.dist.append(None)
         return len(self.feature) - 1
 
-    def _best_split(self, X, y):
-        """Lowest weighted-Gini split; ties go to the lowest feature then
-        lowest threshold. Returns None when no split respects min_leaf or
-        all feature values coincide. All features are scored in one pass."""
-        n, d = X.shape
+    def _best_split(self, XT, y, order):
+        """(feature, threshold) of the lowest weighted-Gini split of the rows
+        in ``order`` (see the module docstring), or None when no split
+        respects min_leaf or all feature values coincide."""
+        n = order.shape[1]
         pos = np.arange(self.min_leaf, n - self.min_leaf + 1)
         if pos.size == 0:
             return None
-        onehot = np.zeros((n, self.num_classes))
-        onehot[np.arange(n), y] = 1.0
-        order = np.argsort(X, axis=0, kind="stable")  # (n, d)
-        xs = np.take_along_axis(X, order, axis=0)
-        left = np.cumsum(onehot[order], axis=0)  # (n, d, C)
-        total = left[-1]
-        valid = xs[pos] > xs[pos - 1]  # (P, d)
-        if not valid.any():
+        xs = np.take_along_axis(XT, order, axis=1)  # (d, n)
+        valid = xs[:, pos] > xs[:, pos - 1]  # (d, P)
+        feats = np.flatnonzero(valid.any(axis=1))
+        if feats.size == 0:
             return None
-        lc = left[pos - 1]  # (P, d, C)
-        rc = total[None, :, :] - lc
-        nl = pos.astype(float)[:, None]
-        score = (nl * _gini(lc) + (n - nl) * _gini(rc)) / n  # (P, d)
-        score[~valid] = np.inf
-        # feature-major flattening makes argmin tie-break to the lowest
-        # feature first, then the lowest threshold within it
-        flat = int(np.argmin(score.T))
-        feat, i = divmod(flat, score.shape[0])
-        return (
-            float(score[i, feat]),
-            int(feat),
-            0.5 * (xs[pos[i] - 1, feat] + xs[pos[i], feat]),
-        )
+        # feature-major cells: argmin tie-breaks to the lowest feature first,
+        # then the lowest threshold within it
+        fi, pi = np.nonzero(valid[feats])
+        labels = y[order[feats]]  # (d', n)
+        left = np.cumsum(labels[..., None] == np.arange(self.num_classes),
+                         axis=1, dtype=np.int32)  # (d', n, C)
+        split = pos[pi]
+        lc = left[fi, split - 1]  # (V, C)
+        rc = left[fi, -1] - lc
+        nl = split.astype(float)
+        score = (nl * _gini(lc, nl) + (n - nl) * _gini(rc, n - nl)) / n
+        i = int(np.argmin(score))
+        feat, at = feats[fi[i]], split[i]
+        return int(feat), 0.5 * (xs[feat, at - 1] + xs[feat, at])
 
     def fit(self, X, y):
         self.feature, self.threshold = [], []
         self.left, self.right, self.dist = [], [], []
-        self._grow(X, y, depth=0)
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")
+        self._grow(XT, y, np.arange(len(y)), order, depth=0)
         self.feature = np.array(self.feature)
         self.threshold = np.array(self.threshold)
         self.left = np.array(self.left)
@@ -90,22 +99,29 @@ class _Tree:
                               for d in self.dist])
         return self
 
-    def _grow(self, X, y, depth):
+    def _grow(self, XT, y, rows, order, depth):
+        """Grow the subtree over ``rows``; ``order`` holds the same rows once
+        per feature, in stable ascending order of that feature, shape (d, n)."""
         node = self._new_node()
-        pure = np.all(y == y[0])
-        if depth >= self.max_depth or pure or len(y) < 2 * self.min_leaf:
-            self.dist[node] = self._leaf_dist(y)
+        y_node = y[rows]
+        pure = np.all(y_node == y_node[0])
+        if depth >= self.max_depth or pure or len(rows) < 2 * self.min_leaf:
+            self.dist[node] = self._leaf_dist(y_node)
             return node
-        split = self._best_split(X, y)
+        split = self._best_split(XT, y, order)
         if split is None:
-            self.dist[node] = self._leaf_dist(y)
+            self.dist[node] = self._leaf_dist(y_node)
             return node
-        _, feat, thr = split
-        mask = X[:, feat] <= thr
+        feat, thr = split
+        go_left = XT[feat] <= thr
+        in_left = go_left[order]
+        d = len(order)
         self.feature[node] = feat
         self.threshold[node] = thr
-        self.left[node] = self._grow(X[mask], y[mask], depth + 1)
-        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1)
+        self.left[node] = self._grow(XT, y, rows[go_left[rows]],
+                                     order[in_left].reshape(d, -1), depth + 1)
+        self.right[node] = self._grow(XT, y, rows[~go_left[rows]],
+                                      order[~in_left].reshape(d, -1), depth + 1)
         return node
 
     def predict_dist(self, X):

@@ -53,6 +53,19 @@ class TestRunCommand:
         assert "store.strategy" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_config_error_found_in_seed_data_exit_2_writes_nothing(self, tmp_path, capsys):
+        # a split stream over 2 steps needs 4 classes; only its data show that
+        path = write_config(tmp_path, stream={
+            "kind": "split", "steps": 2, "seed": 0,
+            "dataset": {"source": "blobs", "num_classes": 2, "per_class": 15,
+                        "dim": 2, "eval_per_class": 8, "target_per_class": 8},
+        })
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "needs exactly 2*T=4 classes, found 2" in err
+        assert "seed 0 failed" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -172,10 +172,16 @@ class TestRunExperiment:
         )
         assert run_experiment(cfg).per_seed[0].status == "ok"
 
-    def test_quota_larger_than_batch_fails_seed(self):
+    def test_quota_larger_than_batch_is_config_error(self):
         cfg = blob_config(store={"m": 100, "quota": 50})
-        result = run_experiment(cfg)
-        assert result.summary["seeds_ok"] == []
+        with pytest.raises(ConfigError, match="requires m <= n"):
+            run_experiment(cfg)
+
+    def test_split_stream_class_count_is_config_error(self):
+        cfg = blob_config()
+        cfg["stream"]["dataset"]["num_classes"] = 2
+        with pytest.raises(ConfigError, match="exactly 2\\*T=4 classes, found 2"):
+            run_experiment(cfg)
 
 
 class TestTryFit:

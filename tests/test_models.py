@@ -302,6 +302,22 @@ class TestBootstrapForest:
         X = np.stack([e_.features for e_ in data])
         assert np.array_equal(a.conditionals(X), b.conditionals(X))
 
+    def test_fit_memory_at_mnist_shape(self, mnist_like):
+        """One tree at n=300, d=784, C=10: the split search's (d, n, C)
+        class counts are int32, so the peak stays near 30 MB."""
+        import tracemalloc
+
+        X, y = mnist_like
+        data = [ex(x, int(c)) for x, c in zip(X, y)]
+        tracemalloc.start()
+        try:
+            m = BootstrapForest(10, num_trees=1, max_depth=10, seed=0).fit(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(m.trees[0].feature) > 1
+        assert peak < 40 * 2**20
+
     def test_marginal_consistency(self):
         data = [ex([float(i % 5), float(i % 3)], i % 2) for i in range(40)]
         m = BootstrapForest(2, num_trees=7, seed=2).fit(data)

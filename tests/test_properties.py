@@ -16,6 +16,7 @@ from streamsift import (
 )
 from streamsift.acquisition import epig_scores, la_epig_scores
 from streamsift.models.finite import GRID_ATOL
+from streamsift.models.forest import _Tree
 from streamsift.prob import entropy_of_array
 
 OFFSETS = (0.0, 0.5 * GRID_ATOL, -0.5 * GRID_ATOL, GRID_ATOL, -GRID_ATOL,
@@ -54,6 +55,76 @@ def einsum_la_epig(model, X, y, targets):
     scores = h_prior - entropy_of_array(updated).mean(axis=1)
     scores[~ok] = np.nan
     return scores
+
+
+def _old_gini(counts):
+    """Gini impurity of rows of class counts, shape (..., C)."""
+    n = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(n > 0, counts / np.maximum(n, 1), 0.0)
+    return 1.0 - (p * p).sum(axis=-1)
+
+
+class OldTree(_Tree):
+    """The split search that sorts at every node and scores every
+    (position, feature) cell from a float one-hot cumsum."""
+
+    def _best_split(self, X, y):
+        n, d = X.shape
+        pos = np.arange(self.min_leaf, n - self.min_leaf + 1)
+        if pos.size == 0:
+            return None
+        onehot = np.zeros((n, self.num_classes))
+        onehot[np.arange(n), y] = 1.0
+        order = np.argsort(X, axis=0, kind="stable")  # (n, d)
+        xs = np.take_along_axis(X, order, axis=0)
+        left = np.cumsum(onehot[order], axis=0)  # (n, d, C)
+        total = left[-1]
+        valid = xs[pos] > xs[pos - 1]  # (P, d)
+        if not valid.any():
+            return None
+        lc = left[pos - 1]  # (P, d, C)
+        rc = total[None, :, :] - lc
+        nl = pos.astype(float)[:, None]
+        score = (nl * _old_gini(lc) + (n - nl) * _old_gini(rc)) / n  # (P, d)
+        score[~valid] = np.inf
+        flat = int(np.argmin(score.T))
+        feat, i = divmod(flat, score.shape[0])
+        return (
+            float(score[i, feat]),
+            int(feat),
+            0.5 * (xs[pos[i] - 1, feat] + xs[pos[i], feat]),
+        )
+
+    def fit(self, X, y):
+        self.feature, self.threshold = [], []
+        self.left, self.right, self.dist = [], [], []
+        self._grow(X, y, depth=0)
+        self.feature = np.array(self.feature)
+        self.threshold = np.array(self.threshold)
+        self.left = np.array(self.left)
+        self.right = np.array(self.right)
+        self.dist = np.stack([d if d is not None else np.zeros(self.num_classes)
+                              for d in self.dist])
+        return self
+
+    def _grow(self, X, y, depth):
+        node = self._new_node()
+        pure = np.all(y == y[0])
+        if depth >= self.max_depth or pure or len(y) < 2 * self.min_leaf:
+            self.dist[node] = self._leaf_dist(y)
+            return node
+        split = self._best_split(X, y)
+        if split is None:
+            self.dist[node] = self._leaf_dist(y)
+            return node
+        _, feat, thr = split
+        mask = X[:, feat] <= thr
+        self.feature[node] = feat
+        self.threshold[node] = thr
+        self.left[node] = self._grow(X[mask], y[mask], depth + 1)
+        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1)
+        return node
 
 
 # --- grid lookup ---------------------------------------------------------------
@@ -203,3 +274,37 @@ class TestLAEpigKernel:
             assert np.array_equal(np.isnan(la), marg[:, c] == 0.0)
             mix += np.where(marg[:, c] > 0.0, marg[:, c] * np.nan_to_num(la), 0.0)
         assert np.allclose(epig_scores(model, X, targets), mix, rtol=0.0, atol=1e-12)
+
+
+# --- forest split search -----------------------------------------------------
+
+
+def assert_same_tree(X, y, num_classes, max_depth, min_leaf, beta=0.5):
+    args = (num_classes, max_depth, min_leaf, beta)
+    new, old = _Tree(*args).fit(X, y), OldTree(*args).fit(X, y)
+    for name in ("feature", "threshold", "left", "right", "dist"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+
+class TestForestSplitSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 20),
+           st.integers(2, 10), st.integers(1, 3), st.integers(0, 12))
+    def test_matches_per_node_sort(self, seed, n, d, C, min_leaf, max_depth):
+        """Quantised values (ties everywhere), some constant columns, some
+        classes absent, signed zeros and a value scale from tiny to huge."""
+        rng = np.random.default_rng(seed)
+        levels = int(rng.choice([2, 3, 5, 17, 1000]))
+        scale = float(rng.choice([1e-300, 1.0, 1e300]))
+        X = (rng.integers(0, levels, size=(n, d)) - levels // 2) * scale
+        X[:, rng.uniform(size=d) < 0.2] = rng.choice([0.0, -0.0, 1.5])
+        X[rng.uniform(size=(n, d)) < 0.1] *= -0.0
+        y = rng.integers(0, int(rng.integers(1, C + 1)), size=n)
+        assert_same_tree(X, y, C, max_depth, min_leaf)
+
+    def test_mnist_like_single_tree(self, mnist_like):
+        X, y = mnist_like
+        assert_same_tree(X, y, 10, max_depth=10, min_leaf=1, beta=0.05)
+
+    def test_no_features(self):
+        assert_same_tree(np.zeros((5, 0)), np.array([0, 1, 1, 0, 1]), 2, 3, 1)
