@@ -6,14 +6,17 @@ The driver runs the addition-based store strategy (D) through
 ``store.strategy_steps``: its selector moves ``quota`` examples from each
 step's batch into the store one at a time, refitting the model before each
 decision; after each step the driver refits on the full store and records
-test accuracy. Seeds run in turn; failed seeds are reported, excluded from
-aggregates, and never abort the batch. A ``ConfigError`` that shows only
+test accuracy. Seeds run in turn; a seed that raises any ``Exception``
+(a ``StreamsiftError``, but also an ``IndexError`` or ``MemoryError``) is
+recorded as failed with ``"<Type>: <message>"``, excluded from aggregates,
+and never aborts the batch. A ``ConfigError`` that shows only
 once a seed's data exist (a split stream without 2*T classes, ``targets.M``
 above the target pool, a quota above a batch) is the configuration's fault,
 not the seed's, so it propagates and the run produces no results.
 """
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +45,8 @@ from .streams import (
     synth_blobs,
 )
 from .svgrender import learning_curve_svg
+
+_log = logging.getLogger(__name__)
 
 # purpose tags for seed derivation
 _TAG_DATA, _TAG_MODEL, _TAG_SELECT, _TAG_TARGETS, _TAG_AUX, _TAG_SPLIT = range(6)
@@ -436,7 +441,9 @@ def run_experiment(config):
             per_seed.append(_run_seed(config, seed, timing))
         except ConfigError:
             raise
-        except StreamsiftError as exc:
+        except Exception as exc:  # any other fault fails this seed only
+            if not isinstance(exc, StreamsiftError):  # a bug: keep its traceback
+                _log.error("seed %s failed", seed, exc_info=True)
             per_seed.append(SeedRun(seed=seed, status="failed",
                                     error=f"{type(exc).__name__}: {exc}"))
     timing["total"] = time.perf_counter() - wall

@@ -9,7 +9,9 @@ Split rule: a node splits at the lowest weighted Gini impurity over every
 (feature, position) cell of its rows sorted by that feature, where a cell
 must leave at least ``min_leaf`` rows on each side and sit where the sorted
 value changes. Ties go to the lowest feature, then the lowest threshold; the
-threshold is the midpoint of the two values around the cell. Class counts
+threshold is the midpoint of the two values around the cell, or the lower
+value where the midpoint rounds up to the upper one (adjacent floats) or
+overflows, so ``x <= threshold`` always splits as scored. Class counts
 are integers, so every score is exact up to the one float expression that
 computes it.
 
@@ -83,7 +85,9 @@ class _Tree:
         score = (nl * _gini(lc, nl) + (n - nl) * _gini(rc, n - nl)) / n
         i = int(np.argmin(score))
         feat, at = feats[fi[i]], split[i]
-        return int(feat), 0.5 * (xs[feat, at - 1] + xs[feat, at])
+        lo, hi = float(xs[feat, at - 1]), float(xs[feat, at])
+        mid = 0.5 * (lo + hi)  # Python floats: an overflow is inf, no warning
+        return int(feat), mid if lo <= mid < hi else lo
 
     def fit(self, X, y):
         self.feature, self.threshold = [], []

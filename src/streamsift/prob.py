@@ -5,6 +5,8 @@ Everything here works in natural log (nats). Probabilities below
 0*log(0) contributes 0 without producing NaNs from underflow.
 """
 
+import math
+
 import numpy as np
 from scipy.special import digamma, gammaln
 
@@ -15,6 +17,9 @@ SUM_ATOL = 1e-9
 
 #: probabilities below this are treated as exact zeros in entropy terms
 ZERO_EPS = 1e-12
+
+# bytes of the flattened joint that H(joint) reduces at a time
+_BLOCK_BYTES = 1 << 20
 
 
 class Categorical:
@@ -82,8 +87,10 @@ def entropy_of_array(p, axis=-1):
     performed; this is the vectorized kernel behind :func:`entropy`.
     """
     p = np.asarray(p, dtype=float)
-    logp = np.log(np.where(p > ZERO_EPS, p, 1.0))
-    return -(p * logp).sum(axis=axis)
+    t = np.where(p > ZERO_EPS, p, 1.0)
+    np.log(t, out=t)
+    np.multiply(p, t, out=t)
+    return -t.sum(axis=axis)
 
 
 def entropy(p):
@@ -139,11 +146,27 @@ def mutual_information_of_array(joint):
 
     Values in [-1e-9, 0) are clamped to 0; anything below that indicates a
     broken joint and raises.
+
+    H(joint) is reduced over blocks of the first axis of about
+    ``_BLOCK_BYTES`` each (at least one row), so its flattened copy and
+    entropy temporaries never span the whole stack. Every entropy is a sum
+    along one contiguous row, so the values are the same bits for any block
+    size. The joint itself stays whole: a blocked einsum in ``epig_scores``
+    changes the GEMM's last bits, and with them any pick that round-off
+    decides (EPIG on an ensemble whose members all agree).
     """
     j = np.asarray(joint, dtype=float)
     h_rows = entropy_of_array(j.sum(axis=-1))
     h_cols = entropy_of_array(j.sum(axis=-2))
-    h_joint = entropy_of_array(j.reshape(j.shape[:-2] + (-1,)))
+    if j.ndim == 2:
+        h_joint = entropy_of_array(j.reshape(-1))
+    else:
+        h_joint = np.empty(j.shape[:-2])
+        row_bytes = max(1, j.itemsize * math.prod(j.shape[1:]))
+        step = max(1, _BLOCK_BYTES // row_bytes)
+        for s in range(0, len(j), step):
+            blk = j[s:s + step]
+            h_joint[s:s + step] = entropy_of_array(blk.reshape(blk.shape[:-2] + (-1,)))
     mi = h_rows + h_cols - h_joint
     if np.any(mi < -SUM_ATOL):
         raise ValidationError(f"mutual information below -{SUM_ATOL}: min={mi.min()}")

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from streamsift import harness
 from streamsift.cli import main
+from streamsift.models import BootstrapForest
 
 
 def write_config(tmp_path, filename="config.json", **over):
@@ -83,6 +85,20 @@ class TestRunCommand:
             training={"lr": 1e12, "max_steps": 30, "weight_decay": 1.0},
         )
         assert main(["run", "--config", str(path)]) == 3
+
+    def test_fault_outside_the_library_fails_seeds_exit_3(self, tmp_path,
+                                                         monkeypatch, capsys):
+        class FaultyForest(BootstrapForest):
+            def fit(self, examples):
+                raise IndexError("index 0 is out of bounds")
+
+        monkeypatch.setattr(harness, "BootstrapForest", FaultyForest)
+        path = write_config(tmp_path, seeds=[0, 1])
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        for seed in (0, 1):
+            assert f"seed {seed} failed: IndexError: index 0 is out of bounds" in err
+        assert (tmp_path / "out" / "results.json").exists()
 
     def test_rerun_byte_identical_excluding_timing(self, tmp_path):
         path_a = write_config(tmp_path, "ca.json", output={"dir": str(tmp_path / "a")})

@@ -23,6 +23,7 @@ from streamsift.harness import (
 from streamsift.models import BootstrapForest, FiniteHypothesisModel
 from streamsift.streams import StreamSchedule
 from streamsift.models.base import LabelledExample
+from streamsift.rng import derive_seed
 
 
 def blob_config(**over):
@@ -124,6 +125,22 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.summary["seeds_failed"] == [0]
         assert result.per_seed[0].error.startswith("TrainingDivergedError")
+
+    @pytest.mark.parametrize("error", [IndexError, MemoryError])
+    def test_any_exception_fails_only_its_seed(self, monkeypatch, error):
+        bad_seed = derive_seed(1, harness._TAG_MODEL)
+
+        class FaultyForest(BootstrapForest):
+            def fit(self, examples):
+                if self.seed == bad_seed:
+                    raise error("fault in seed 1")
+                return super().fit(examples)
+
+        monkeypatch.setattr(harness, "BootstrapForest", FaultyForest)
+        result = run_experiment(blob_config(seeds=[0, 1, 2]))
+        assert result.summary["seeds_ok"] == [0, 2]
+        assert result.summary["seeds_failed"] == [1]
+        assert result.per_seed[1].error == f"{error.__name__}: fault in seed 1"
 
     def test_mic_and_rho_loss_run(self):
         mic_result = run_experiment(blob_config(objective={"name": "mic"}, seeds=[0]))

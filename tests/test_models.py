@@ -18,6 +18,7 @@ from streamsift import (
     dirichlet_kl,
     reweight_ensemble,
 )
+from streamsift.models.forest import _Tree
 
 
 def ex(features, label):
@@ -268,6 +269,20 @@ class TestDirichletHistogramClassifier:
 
 
 class TestBootstrapForest:
+    @pytest.mark.parametrize("a, b", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+        (1e308, 1.7e308),  # the midpoint overflows to inf
+        (-1.7e308, -1e308),  # ... and to -inf
+    ])
+    def test_threshold_splits_adjacent_and_huge_values(self, a, b):
+        tree = _Tree(2, 3, 1, 1.0).fit(np.array([[a], [b]]), np.array([0, 1]))
+        assert tree.feature[0] == 0
+        assert a <= tree.threshold[0] < b
+        leaves = [tree.left[0], tree.right[0]]
+        assert np.array_equal(tree.predict_dist(np.array([[a], [b]])),
+                              tree.dist[leaves])
+        assert tree.dist[leaves[0]][0] > tree.dist[leaves[1]][0]
+
     def test_leaf_smoothing_formula(self):
         m = BootstrapForest(2, num_trees=1, max_depth=0, beta=1.0, seed=0)
         m.fit([ex([0.0], 1)] * 3)

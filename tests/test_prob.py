@@ -15,6 +15,7 @@ from streamsift import (
     kl_divergence,
     mutual_information,
 )
+from streamsift.prob import mutual_information_of_array
 
 
 class TestCategorical:
@@ -175,3 +176,23 @@ class TestMutualInformation:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             JointCategorical([[0.5, 0.25, 0.25]])
+
+    def test_stacked_joint_entropy_memory_is_blocked(self):
+        """An einsum joint of N=400, M=128, C=10 (41 MB): H(joint) is reduced
+        in small candidate blocks, so the peak is the (N, M, C) marginals'
+        (about 9 MB); one pass over the whole stack took 124 MB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        cond_x = rng.dirichlet(np.ones(10), size=(400, 8))
+        cond_t = rng.dirichlet(np.ones(10), size=(128, 8))
+        joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, np.full(8, 1 / 8),
+                          optimize=True)
+        tracemalloc.start()
+        try:
+            mi = mutual_information_of_array(joint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mi.shape == (400, 128)
+        assert peak < 16 * 2**20

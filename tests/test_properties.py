@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsift import (
+    BootstrapForest,
     FiniteHypothesisModel,
     GridLookupError,
     LabelledExample,
     TargetSet,
+    ValidationError,
+    prob,
 )
 from streamsift.acquisition import epig_scores, la_epig_scores
 from streamsift.models.finite import GRID_ATOL
 from streamsift.models.forest import _Tree
-from streamsift.prob import entropy_of_array
+from streamsift.prob import SUM_ATOL, ZERO_EPS, entropy_of_array
 
 OFFSETS = (0.0, 0.5 * GRID_ATOL, -0.5 * GRID_ATOL, GRID_ATOL, -GRID_ATOL,
            2 * GRID_ATOL, -2 * GRID_ATOL)
@@ -55,6 +58,32 @@ def einsum_la_epig(model, X, y, targets):
     scores = h_prior - entropy_of_array(updated).mean(axis=1)
     scores[~ok] = np.nan
     return scores
+
+
+def old_entropy_of_array(p, axis=-1):
+    """Entropy with separate ``where``, ``log`` and product temporaries."""
+    p = np.asarray(p, dtype=float)
+    logp = np.log(np.where(p > ZERO_EPS, p, 1.0))
+    return -(p * logp).sum(axis=axis)
+
+
+def old_mutual_information_of_array(joint):
+    """MI with H(joint) over one reshape of the whole stack."""
+    j = np.asarray(joint, dtype=float)
+    h_rows = old_entropy_of_array(j.sum(axis=-1))
+    h_cols = old_entropy_of_array(j.sum(axis=-2))
+    h_joint = old_entropy_of_array(j.reshape(j.shape[:-2] + (-1,)))
+    mi = h_rows + h_cols - h_joint
+    if np.any(mi < -SUM_ATOL):
+        raise ValidationError(f"mutual information below -{SUM_ATOL}: min={mi.min()}")
+    return np.maximum(mi, 0.0)
+
+
+def old_epig_scores(model, X, targets):
+    cond_x, w = model.conditionals(X), model.sample_weights
+    cond_t = model.conditionals(targets.inputs)
+    joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, w, optimize=True)
+    return old_mutual_information_of_array(joint).mean(axis=1)
 
 
 def _old_gini(counts):
@@ -308,3 +337,78 @@ class TestForestSplitSearch:
 
     def test_no_features(self):
         assert_same_tree(np.zeros((5, 0)), np.array([0, 1, 1, 0, 1]), 2, 3, 1)
+
+
+# --- entropy and mutual information -------------------------------------------
+
+
+def random_conditionals(rng, rows, K, C):
+    """Row-stochastic (rows, K, C) tables with about a fifth of entries zero."""
+    cond = rng.dirichlet(np.ones(C), size=(rows, K))
+    cond[rng.uniform(size=cond.shape) < 0.2] = 0.0
+    cond[:, :, 0] += cond.sum(axis=2) == 0.0
+    return cond / cond.sum(axis=2, keepdims=True)
+
+
+def assert_same_array(new, old):
+    assert np.array_equal(new, old)
+    assert new.strides == old.strides
+
+
+class TestMutualInformationKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 130),
+           st.integers(1, 40), st.integers(2, 10), st.booleans())
+    def test_blocked_joint_entropy_matches_one_pass(self, seed, N, M, K, C, same_rows):
+        """Einsum-built joints (the layout ``epig_scores`` reduces), with
+        every candidate row identical in the degenerate case, at block
+        budgets of one row, a few rows and the whole stack."""
+        rng = np.random.default_rng(seed)
+        cond_x = random_conditionals(rng, N, K, C)
+        if same_rows:
+            cond_x[:] = cond_x[0]
+        cond_t = random_conditionals(rng, M, K, C)
+        w = rng.dirichlet(np.ones(K))
+        joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, w, optimize=True)
+        old = old_mutual_information_of_array(joint)
+        for budget in (1, 4096, 1 << 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prob, "_BLOCK_BYTES", budget)
+                new = prob.mutual_information_of_array(joint)
+            assert_same_array(new, old)
+            assert np.array_equal(new.mean(axis=1), old.mean(axis=1))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 4, 4)])
+    def test_small_stacks_and_single_joint(self, shape):
+        rng = np.random.default_rng(len(shape))
+        joint = rng.dirichlet(np.ones(shape[-1] ** 2), size=shape[:-2])
+        joint = joint.reshape(shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prob, "_BLOCK_BYTES", 1)
+            new = prob.mutual_information_of_array(joint)
+        old = old_mutual_information_of_array(joint)
+        assert np.shape(new) == np.shape(old)
+        assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_one_buffer_entropy_matches_three_temporaries(self, layout, axis):
+        rng = np.random.default_rng(11)
+        p = random_conditionals(rng, 40, 30, 7)
+        p = {"C": p, "F": np.asfortranarray(p), "strided": p[::2, ::3]}[layout]
+        assert_same_array(entropy_of_array(p, axis=axis),
+                          old_entropy_of_array(p, axis=axis))
+
+    @pytest.mark.parametrize("n_train", [1, 40])
+    def test_epig_scores_at_harness_shape(self, n_train):
+        """N=200 candidates, M=128 targets, K=32 trees, C=10; one training
+        example leaves every tree alike, the case decided by round-off."""
+        rng = np.random.default_rng(n_train)
+        X = rng.normal(size=(n_train, 4))
+        y = rng.integers(0, 10, size=n_train)
+        model = BootstrapForest(10, num_trees=32, max_depth=6, seed=0)
+        model.fit([LabelledExample(x, int(c)) for x, c in zip(X, y)])
+        candidates = rng.normal(size=(200, 4))
+        targets = TargetSet(rng.normal(size=(128, 4)))
+        assert np.array_equal(epig_scores(model, candidates, targets),
+                              old_epig_scores(model, candidates, targets))
