@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEvidenceError, ValidationError
-from .models.base import dataset_arrays
+from .models.base import as_inputs, dataset_arrays
 from .prob import entropy, entropy_of_array, mutual_information_of_array
+from .rng import rng_from
 
 OBJECTIVES = ("random", "mic", "epig", "la_epig", "rho_loss")
 
@@ -30,9 +31,7 @@ class TargetSet:
     __slots__ = ("inputs",)
 
     def __init__(self, inputs):
-        X = np.asarray(inputs, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_inputs(inputs)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValidationError(f"need at least one target input, got shape {X.shape}")
         self.inputs = X
@@ -47,13 +46,6 @@ class AcquisitionScore:
     value: float
 
 
-def _candidate_arrays(model, X):
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return model.conditionals(X), model.sample_weights
-
-
 def _has_exact_update(model):
     return hasattr(model, "exact_posterior_predictive") and hasattr(
         model, "exact_updated_predictive"
@@ -65,7 +57,7 @@ def _has_exact_update(model):
 
 def epig_scores(model, X, targets):
     """EPIG for a batch of candidate inputs, shape (N,)."""
-    cond_x, w = _candidate_arrays(model, X)
+    cond_x, w = model.conditionals(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, w, optimize=True)
     mi = mutual_information_of_array(joint)  # (N, M), clamped inside
@@ -74,7 +66,7 @@ def epig_scores(model, X, targets):
 
 def la_epig_scores(model, X, y, targets):
     """LA-EPIG for candidate pairs; degenerate candidates come back as NaN."""
-    cond_x, w = _candidate_arrays(model, X)
+    cond_x, w = model.conditionals(X), model.sample_weights
     y = np.asarray(y, dtype=int)
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     prior = np.einsum("k,mkc->mc", w, cond_t)
@@ -100,11 +92,9 @@ def mic_scores(model, X, y, eta=1.0):
     Models exposing exact conjugate updates are scored with their exact
     predictives; sample-based models go through likelihood reweighting.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(y, dtype=int)
     if _has_exact_update(model):
+        X = as_inputs(X)
         prior_mass = np.array(
             [model.exact_posterior_predictive(x)[c] for x, c in zip(X, y)]
         )
@@ -112,7 +102,7 @@ def mic_scores(model, X, y, eta=1.0):
             [model.exact_updated_predictive(x, c)[c] for x, c in zip(X, y)]
         )
     else:
-        cond_x, w = _candidate_arrays(model, X)
+        cond_x, w = model.conditionals(X), model.sample_weights
         lik = cond_x[np.arange(len(y)), :, y]  # (N, K)
         prior_mass = lik @ w
         post_mass = np.zeros_like(prior_mass)
@@ -126,9 +116,6 @@ def mic_scores(model, X, y, eta=1.0):
 
 def rho_loss_scores(model, aux_model, X, y):
     """Model NLL minus holdout-model NLL; NaN where either mass is zero."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(y, dtype=int)
     idx = np.arange(len(y))
     p_model = model.marginal_predict_batch(X)[idx, y]
@@ -204,7 +191,7 @@ def score_pool(objective, model, pool, targets=None, seed=0, eta=1.0,
     target_evaluations = 0
 
     if objective == "random":
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+        rng = rng_from(seed)
         values = rng.uniform(size=len(pool))
     elif objective == "epig":
         values = epig_scores(model, X, targets)

@@ -137,6 +137,15 @@ def cmd_score(args):
 
     num_classes = max(2, max(ex.label for ex in store + candidates) + 1)
     num_features = store[0].features.shape[0]
+    widths = [(args.candidates, candidates[0].features.shape[0])]
+    if targets is not None:
+        widths.append((args.targets, targets.inputs.shape[1]))
+    for path, width in widths:
+        if width != num_features:
+            raise ConfigError(
+                f"{path} has {width} features per row, but the store "
+                f"{args.store} has {num_features}"
+            )
     box_points = [ex.features for ex in store + candidates]
     if targets is not None:
         box_points.append(targets.inputs)

@@ -104,19 +104,38 @@ def _validate_dataset(raw):
     return out
 
 
-def validate_model_spec(raw, path="model"):
-    kind = _require(raw, "kind", path)
+def _as_int_list(value, path):
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list of integers, got {value!r}")
+    for i, v in enumerate(value):
+        _as_int(v, f"{path}[{i}]")
+
+
+# the type check of a model field whose default has this type; a field that
+# defaults to None is checked by the model's constructor
+_FIELD_CHECKS = {int: _as_int, float: _as_num, list: _as_int_list}
+
+
+def validate_model_spec(raw):
+    """Check a model spec against its kind's fields and their default types;
+    returns a defaults-filled copy whose values are the spec's own."""
+    if not isinstance(raw, dict):
+        raise ConfigError("model must be an object")
+    kind = _require(raw, "kind", "model")
     if kind not in _MODEL_DEFAULTS:
         raise ConfigError(
-            f"unknown {path}.kind {kind!r}; expected one of {sorted(_MODEL_DEFAULTS)}"
+            f"unknown model.kind {kind!r}; expected one of {sorted(_MODEL_DEFAULTS)}"
         )
     defaults = _MODEL_DEFAULTS[kind]
-    _check_keys(raw, set(defaults) | {"kind"}, path)
+    _check_keys(raw, set(defaults) | {"kind"}, "model")
     out = {"kind": kind}
     for key, default in defaults.items():
         if kind == "finite_hypothesis" and key in ("grid", "tables") and key not in raw:
-            raise ConfigError(f"missing required field {path}.{key}")
+            raise ConfigError(f"missing required field model.{key}")
         out[key] = copy.deepcopy(raw.get(key, default))
+        check = _FIELD_CHECKS.get(type(default))
+        if check is not None:
+            check(out[key], f"model.{key}")
     return out
 
 

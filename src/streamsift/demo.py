@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import TargetSet, epig_scores, la_epig_scores, mic_scores
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError
 from .models import FiniteHypothesisModel, LabelledExample
 from .rng import derive_seed, rng_from
 from .svgrender import heatmap_svg
@@ -57,18 +57,19 @@ class TwoBellsProblem:
         return self.means[comp] + self.std * rng.standard_normal((count, 2))
 
 
-def two_bells_problem(seed=0, num_train=24, separation=4.0, std=1.1, box=5.0,
-                      train_region_cut=-0.4):
-    """Build the demo problem with a training set confined to the lower
-    sub-region (second coordinate below ``train_region_cut``)."""
-    means = np.array([[-separation / 2, 0.0], [separation / 2, 0.0]])
+def two_bells_problem(seed=0, num_train=24):
+    """Build the demo problem: bells 4 apart with spread 1.1 in the box
+    [-5, 5]^2, and a training set confined to the lower sub-region (second
+    coordinate below -0.4)."""
+    std, box = 1.1, 5.0
+    means = np.array([[-2.0, 0.0], [2.0, 0.0]])
     problem = TwoBellsProblem([], means, std, box)
     rng = rng_from(seed)
     train = []
     while len(train) < num_train:
         comp = int(rng.integers(0, 2))
         x = means[comp] + std * rng.standard_normal(2)
-        if x[1] < train_region_cut and np.all(np.abs(x) <= box):
+        if x[1] < -0.4 and np.all(np.abs(x) <= box):
             train.append(x)
     X = np.stack(train)
     labels = problem.y_true(X)
@@ -76,15 +77,16 @@ def two_bells_problem(seed=0, num_train=24, separation=4.0, std=1.1, box=5.0,
     return problem
 
 
-def build_demo_model(problem, extra_inputs, num_hypotheses=256, num_features=16,
-                     lengthscale=3.0, seed=0):
-    """Finite-hypothesis model over random RBF-logistic functions, with its
-    grid covering the training inputs plus whatever inputs will be scored."""
+def build_demo_model(problem, extra_inputs, num_hypotheses=256, seed=0):
+    """Finite-hypothesis model over random logistic functions of 16 radial
+    basis features (lengthscale 3), with its grid covering the training
+    inputs plus whatever inputs will be scored."""
+    num_rbf, lengthscale = 16, 3.0
     train_X = np.stack([ex.features for ex in problem.training_set])
     grid = np.vstack([train_X, np.atleast_2d(extra_inputs)])
     rng = rng_from(seed, 7)
-    centers = rng.uniform(-problem.box, problem.box, size=(num_features, 2))
-    weights = rng.normal(0.0, 4.0 / np.sqrt(num_features), size=(num_hypotheses, num_features))
+    centers = rng.uniform(-problem.box, problem.box, size=(num_rbf, 2))
+    weights = rng.normal(0.0, 4.0 / np.sqrt(num_rbf), size=(num_hypotheses, num_rbf))
     biases = rng.normal(0.0, 1.0, size=num_hypotheses)
     sq = ((grid[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     feats = np.exp(-sq / (2.0 * lengthscale ** 2))  # (G, R)
@@ -108,10 +110,7 @@ class ScoreGrid:
     label_mode: str
 
     def cell_centers(self):
-        xs = cell_axis(self.xmin, self.xmax, self.resolution)
-        ys = cell_axis(self.ymin, self.ymax, self.resolution)
-        gx, gy = np.meshgrid(xs, ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return cell_centers(self.xmin, self.xmax, self.ymin, self.ymax, self.resolution)
 
     def argmax_cell(self):
         """(row, col) of the highest finite value."""
@@ -125,8 +124,16 @@ def cell_axis(lo, hi, resolution):
     return 0.5 * (edges[:-1] + edges[1:])
 
 
-def render_heatmaps(model, problem, targets, resolution=64, panels=DEMO_PANELS,
-                    outdir=None):
+def cell_centers(xmin, xmax, ymin, ymax, resolution):
+    """(x, y) centre of every cell of a resolution x resolution grid over
+    [xmin, xmax] x [ymin, ymax]; row k is cell (x_j, y_i) with k = i *
+    resolution + j."""
+    gx, gy = np.meshgrid(cell_axis(xmin, xmax, resolution),
+                         cell_axis(ymin, ymax, resolution))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def render_heatmaps(model, problem, targets, resolution=64, outdir=None):
     """Score every grid cell under each panel's objective and emit files.
 
     Returns the list of ScoreGrids; when ``outdir`` is given, each grid is
@@ -134,24 +141,19 @@ def render_heatmaps(model, problem, targets, resolution=64, panels=DEMO_PANELS,
     degenerate evidence are masked (NaN in CSV, hatched in SVG).
     """
     box = problem.box
-    cells = ScoreGrid(
-        np.zeros((resolution, resolution)), -box, box, -box, box,
-        resolution, "", "",
-    ).cell_centers()
+    cells = cell_centers(-box, box, -box, box, resolution)
     y_true = problem.y_true(cells)
     y_flip = 1 - y_true
 
     grids = []
-    for objective, label_mode in panels:
+    for objective, label_mode in DEMO_PANELS:
         labels = {"none": None, "true": y_true, "flip": y_flip}[label_mode]
         if objective == "epig":
             values = epig_scores(model, cells, targets)
         elif objective == "la_epig":
             values = la_epig_scores(model, cells, labels, targets)
-        elif objective == "mic":
-            values = mic_scores(model, cells, labels, eta=1.0)
         else:
-            raise ValidationError(f"unsupported demo objective {objective!r}")
+            values = mic_scores(model, cells, labels, eta=1.0)
         grid = ScoreGrid(
             values.reshape(resolution, resolution), -box, box, -box, box,
             resolution, objective, label_mode,
@@ -232,10 +234,7 @@ def run_demo(resolution=64, num_targets=256, num_hypotheses=256, seed=0,
     problem = two_bells_problem(seed=seed)
     targets = TargetSet(problem.sample_targets(num_targets, seed=derive_seed(seed, 1)))
     box = problem.box
-    cells = ScoreGrid(
-        np.zeros((resolution, resolution)), -box, box, -box, box,
-        resolution, "", "",
-    ).cell_centers()
+    cells = cell_centers(-box, box, -box, box, resolution)
     extra = np.vstack([targets.inputs, cells])
     model = build_demo_model(problem, extra, num_hypotheses=num_hypotheses, seed=seed)
     grids = render_heatmaps(model, problem, targets, resolution=resolution,

@@ -9,10 +9,11 @@ decision; after each step the driver refits on the full store and records
 test accuracy. Seeds run in turn; a seed that raises any ``Exception``
 (a ``StreamsiftError``, but also an ``IndexError`` or ``MemoryError``) is
 recorded as failed with ``"<Type>: <message>"``, excluded from aggregates,
-and never aborts the batch. A ``ConfigError`` that shows only
-once a seed's data exist (a split stream without 2*T classes, ``targets.M``
-above the target pool, a quota above a batch) is the configuration's fault,
-not the seed's, so it propagates and the run produces no results.
+and never aborts the batch. A ``ConfigError`` that shows only once a seed's
+data exist (a split stream without 2*T classes, ``targets.M`` above the
+target pool, a quota above a batch, a model field the model rejects) is the
+configuration's fault, not the seed's, so it propagates and the run produces
+no results.
 """
 
 import json
@@ -25,7 +26,7 @@ import numpy as np
 
 from .acquisition import TargetSet, score_pool
 from .config import validate_config
-from .errors import ConfigError, FitError, StreamsiftError
+from .errors import ConfigError, FitError, StreamsiftError, ValidationError
 from .models import (
     BootstrapForest,
     DirichletHistogramClassifier,
@@ -212,29 +213,34 @@ def infer_box(spec, point_sets):
 
 def build_model(spec, num_classes, num_features, K, training, seed):
     """Instantiate a model from its validated spec dict (see :func:`infer_box`
-    for a dirichlet spec without bounds)."""
+    for a dirichlet spec without bounds). A value the model rejects is a
+    :class:`ConfigError` naming ``model``."""
     kind = spec["kind"]
-    if kind == "forest":
-        return BootstrapForest(
-            num_classes, num_trees=K, max_depth=spec["max_depth"],
-            min_leaf=spec["min_leaf"], beta=spec["beta"], seed=seed,
-        )
-    if kind == "dropout_mlp":
-        return DropoutMLP(
-            num_features, num_classes, hidden=tuple(spec["hidden"]),
-            dropout_rate=spec["dropout_rate"], learning_rate=training["lr"],
-            max_steps=training["max_steps"], weight_decay=training["weight_decay"],
-            val_fraction=training["val_fraction"], num_samples=K, seed=seed,
-        )
-    if kind == "dirichlet":
-        if spec["lower"] is None or spec["upper"] is None:
-            raise ConfigError("dirichlet model needs explicit lower/upper bounds here")
-        return DirichletHistogramClassifier(
-            num_classes, spec["lower"], spec["upper"], bins_per_dim=spec["bins_per_dim"],
-            alpha0=spec["alpha0"], num_samples=K, seed=seed,
-        )
-    if kind == "finite_hypothesis":
-        return FiniteHypothesisModel(spec["grid"], spec["tables"], spec["prior"])
+    try:
+        if kind == "forest":
+            return BootstrapForest(
+                num_classes, num_trees=K, max_depth=spec["max_depth"],
+                min_leaf=spec["min_leaf"], beta=spec["beta"], seed=seed,
+            )
+        if kind == "dropout_mlp":
+            return DropoutMLP(
+                num_features, num_classes, hidden=tuple(spec["hidden"]),
+                dropout_rate=spec["dropout_rate"], learning_rate=training["lr"],
+                max_steps=training["max_steps"], weight_decay=training["weight_decay"],
+                val_fraction=training["val_fraction"], num_samples=K, seed=seed,
+            )
+        if kind == "dirichlet":
+            if spec["lower"] is None or spec["upper"] is None:
+                raise ConfigError("dirichlet model needs explicit lower/upper bounds here")
+            return DirichletHistogramClassifier(
+                num_classes, spec["lower"], spec["upper"],
+                bins_per_dim=spec["bins_per_dim"], alpha0=spec["alpha0"],
+                num_samples=K, seed=seed,
+            )
+        if kind == "finite_hypothesis":
+            return FiniteHypothesisModel(spec["grid"], spec["tables"], spec["prior"])
+    except ValidationError as exc:
+        raise ConfigError(f"model ({kind}): {exc}") from None
     raise ConfigError(f"unknown model.kind {kind!r}")
 
 

@@ -3,7 +3,6 @@ from .base import (
     Model,
     PredictiveEnsemble,
     dataset_arrays,
-    dataset_from_arrays,
     reweight_ensemble,
 )
 from .dirichlet import DirichletHistogramClassifier
@@ -16,7 +15,6 @@ __all__ = [
     "Model",
     "PredictiveEnsemble",
     "dataset_arrays",
-    "dataset_from_arrays",
     "reweight_ensemble",
     "DirichletHistogramClassifier",
     "FiniteHypothesisModel",

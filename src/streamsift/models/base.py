@@ -46,9 +46,11 @@ def dataset_arrays(examples):
     return X, y
 
 
-def dataset_from_arrays(X, y):
-    """Inverse of :func:`dataset_arrays`."""
-    return [LabelledExample(x, int(c)) for x, c in zip(X, y)]
+def as_inputs(X):
+    """X as a float array of input rows; a 1-D X is N inputs with one
+    feature each."""
+    X = np.asarray(X, dtype=float)
+    return X[:, None] if X.ndim == 1 else X
 
 
 class PredictiveEnsemble:
@@ -115,9 +117,10 @@ class Model:
     """Contract shared by all predictive models.
 
     Subclasses set ``num_classes`` and ``num_samples`` and implement
-    ``fit(examples)`` plus the vectorized ``conditionals(X) -> (N, K, C)``;
-    ``sample_weights`` defaults to uniform. ``fit`` refits from scratch on
-    the given training set. Prediction methods are read-only after fit.
+    ``fit(examples)`` plus the vectorized ``conditionals(X) -> (N, K, C)``,
+    which reads X through :func:`as_inputs`; ``sample_weights`` defaults to
+    uniform. ``fit`` refits from scratch on the given training set.
+    Prediction methods are read-only after fit.
     """
 
     num_classes = None
@@ -144,7 +147,7 @@ class Model:
 
     def marginal_predict_batch(self, X):
         """Weight-averaged predictives for a batch, shape (N, C)."""
-        cond = self.conditionals(np.asarray(X, dtype=float))
+        cond = self.conditionals(X)
         p = np.einsum("k,nkc->nc", self.sample_weights, cond)
         return p / p.sum(axis=1, keepdims=True)
 

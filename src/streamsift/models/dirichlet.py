@@ -10,7 +10,8 @@ import numpy as np
 
 from ..errors import DomainError, FitError, ValidationError
 from ..prob import dirichlet_kl
-from .base import Model, dataset_arrays
+from ..rng import rng_from
+from .base import Model, as_inputs, dataset_arrays
 
 
 class DirichletHistogramClassifier(Model):
@@ -89,18 +90,13 @@ class DirichletHistogramClassifier(Model):
         """K cached Dirichlet draws for bin b; deterministic per fit and seed."""
         cached = self._sample_cache.get(b)
         if cached is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, self._fit_generation, b])
-            )
+            rng = rng_from(self.seed, self._fit_generation, b)
             cached = rng.dirichlet(self.concentrations(b), size=self.num_samples)
             self._sample_cache[b] = cached
         return cached
 
     def conditionals(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        bins, inverse = np.unique(self.bin_indices(X), return_inverse=True)
+        bins, inverse = np.unique(self.bin_indices(as_inputs(X)), return_inverse=True)
         samples = np.empty((len(bins), self.num_samples, self.num_classes))
         for i, b in enumerate(bins.tolist()):
             samples[i] = self._bin_samples(b)

@@ -8,9 +8,9 @@ predictives over that grid.
 
 import numpy as np
 
-from ..errors import DegenerateEvidenceError, GridLookupError, ValidationError
+from ..errors import DegenerateEvidenceError, FitError, GridLookupError, ValidationError
 from ..prob import SUM_ATOL
-from .base import Model, dataset_arrays
+from .base import Model, as_inputs, dataset_arrays
 
 # matching tolerance for grid lookups
 GRID_ATOL = 1e-9
@@ -35,9 +35,7 @@ class FiniteHypothesisModel(Model):
         tables : (J, G, C) array; tables[j, g] = p(y | grid[g], hypothesis j).
         prior_weights : (J,) prior mass per hypothesis; uniform if omitted.
         """
-        self.grid = np.asarray(grid, dtype=float)
-        if self.grid.ndim == 1:
-            self.grid = self.grid[:, None]
+        self.grid = as_inputs(grid)
         self.tables = np.asarray(tables, dtype=float)
         if self.tables.ndim != 3 or self.tables.shape[1] != self.grid.shape[0]:
             raise ValidationError(
@@ -95,9 +93,7 @@ class FiniteHypothesisModel(Model):
 
     def grid_indices(self, X):
         """Grid row of each row of X (see the class docstring)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_inputs(X)
         idx = self._lookup(X)
         missing = np.flatnonzero(idx < 0)
         if missing.size:
@@ -118,6 +114,8 @@ class FiniteHypothesisModel(Model):
         for x, g, label in zip(X, idx, y):
             if g < 0:
                 raise GridLookupError(f"input {x.tolist()} is not on the model grid")
+            if label >= self.num_classes:
+                raise FitError(f"label {label} out of range for C={self.num_classes}")
             w = w * self.tables[:, g, label]
             total = w.sum()
             if total <= 0.0:

@@ -24,7 +24,8 @@ child's own stable argsort, so no node sorts again.
 import numpy as np
 
 from ..errors import FitError, ValidationError
-from .base import Model, dataset_arrays
+from ..rng import rng_from
+from .base import Model, as_inputs, dataset_arrays
 
 
 def _gini(counts, n):
@@ -155,7 +156,7 @@ class BootstrapForest(Model):
         self.min_leaf = int(min_leaf)
         self.beta = float(beta)
         self.seed = int(seed)
-        self._rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        self._rng = rng_from(seed)
         self.trees = None
 
     def fit(self, examples):
@@ -176,8 +177,6 @@ class BootstrapForest(Model):
     def conditionals(self, X):
         if self.trees is None:
             raise FitError("model is not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_inputs(X)
         per_tree = np.stack([t.predict_dist(X) for t in self.trees])  # (K, N, C)
         return per_tree.transpose(1, 0, 2)

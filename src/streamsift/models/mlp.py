@@ -13,7 +13,8 @@ Posterior samples are K dropout masks frozen after fit, so the same
 import numpy as np
 
 from ..errors import FitError, TrainingDivergedError, ValidationError
-from .base import Model, dataset_arrays
+from ..rng import rng_from
+from .base import Model, as_inputs, dataset_arrays
 
 
 def _relu(z):
@@ -52,7 +53,7 @@ class DropoutMLP(Model):
 
     def _init_params(self):
         """Seeded He initialization, identical on every refit."""
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0]))
+        rng = rng_from(self.seed, 0)
         sizes = (self.num_features,) + self.hidden + (self.num_classes,)
         params = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -119,8 +120,10 @@ class DropoutMLP(Model):
             raise FitError("cannot train on an empty training set")
         if X.shape[1] != self.num_features:
             raise FitError(f"expected {self.num_features} features, got {X.shape[1]}")
+        if np.any(y >= self.num_classes):
+            raise FitError(f"label {y.max()} out of range for C={self.num_classes}")
         self._fit_count += 1
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, self._fit_count]))
+        rng = rng_from(self.seed, self._fit_count)
 
         n = len(y)
         n_val = max(1, int(np.floor(self.val_fraction * n)))
@@ -158,8 +161,6 @@ class DropoutMLP(Model):
     def conditionals(self, X):
         if self.params is None:
             raise FitError("model is not fitted")
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_inputs(X)
         rows = [self._forward(X, self.params, masks=m)[0] for m in self._masks]
         return np.stack(rows).transpose(1, 0, 2)

@@ -10,26 +10,18 @@ offline period tau:
   E  select m <= n online, replace into a capacity-m store; train offline
      on the store
 
-Costs are charged through abstract unit functions (cost of storing N is N,
-of selecting M from N is N, of training on N is N, all overridable); offline
-actions are amortized by 1/tau. The ledger records a per-step reading of
-each counter so growth rates can be checked against the strategies' symbolic
-cost formulas.
+Costs are charged in units: storing N examples costs N, selecting from N
+costs N, and training on N costs N; offline actions are amortized by 1/tau.
+The ledger records a per-step reading of each counter so growth rates can be
+checked against the strategies' symbolic cost formulas.
 """
 
 import numpy as np
 
 from .errors import ConfigError
+from .rng import rng_from
 
 STRATEGIES = ("A", "B", "C", "D", "E")
-
-
-def unit_cost(n):
-    return float(n)
-
-
-def unit_select_cost(m, n):
-    return float(n)
 
 
 class DataStore:
@@ -56,24 +48,20 @@ class DataStore:
 class CostLedger:
     """Per-step readings of storage, selection and training cost units."""
 
-    def __init__(self, cost_store=unit_cost, cost_select=unit_select_cost,
-                 cost_train=unit_cost):
-        self.cost_store = cost_store
-        self.cost_select = cost_select
-        self.cost_train = cost_train
+    def __init__(self):
         self.storage_units = []
         self.selection_units = []
         self.training_units = []
         self._pending = [0.0, 0.0, 0.0]
 
     def charge_storage(self, stored_count):
-        self._pending[0] += self.cost_store(stored_count)
+        self._pending[0] += float(stored_count)
 
-    def charge_selection(self, m, n, tau=1):
-        self._pending[1] += self.cost_select(m, n) / tau
+    def charge_selection(self, candidate_count, tau=1):
+        self._pending[1] += float(candidate_count) / tau
 
     def charge_training(self, trained_count, tau=1):
-        self._pending[2] += self.cost_train(trained_count) / tau
+        self._pending[2] += float(trained_count) / tau
 
     def end_step(self):
         self.storage_units.append(self._pending[0])
@@ -109,8 +97,7 @@ def replace_policy(store, incoming, seed=0):
     if capacity is not None:
         overflow = len(residents) + len(incoming) - capacity
         if overflow > 0:
-            entropy = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
-            rng = np.random.default_rng(np.random.SeedSequence(entropy))
+            rng = rng_from(*seed) if isinstance(seed, (list, tuple)) else rng_from(seed)
             evict = set(rng.choice(len(residents), size=overflow, replace=False).tolist())
             residents = [ex for i, ex in enumerate(residents) if i not in evict]
     out = DataStore(capacity)
@@ -120,7 +107,7 @@ def replace_policy(store, incoming, seed=0):
 
 def random_selector(seed):
     """Seeded uniform-random selector usable with :func:`apply_strategy`."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = rng_from(seed)
 
     def select(examples, k, step, store):
         return sorted(rng.choice(len(examples), size=k, replace=False).tolist())
@@ -167,7 +154,7 @@ def strategy_steps(strategy, schedule, selector, m, ledger, tau=1, eviction_seed
                 )
             selector(store.examples, m, t - 1, store)
             ledger.charge_storage(len(store))
-            ledger.charge_selection(m, len(store), tau=tau)
+            ledger.charge_selection(len(store), tau=tau)
             ledger.charge_training(m, tau=tau)
         else:  # D appends the picks; E replaces them into a capacity-m store
             incoming = [batch[i] for i in selector(batch, m, t - 1, store)]
@@ -177,17 +164,15 @@ def strategy_steps(strategy, schedule, selector, m, ledger, tau=1, eviction_seed
             else:
                 store = replace_policy(store, incoming, seed=[eviction_seed, t])
             ledger.charge_storage(len(store))
-            ledger.charge_selection(m, n)
+            ledger.charge_selection(n)
             ledger.charge_training(len(store), tau=tau)
         ledger.end_step()
         yield store
 
 
-def apply_strategy(strategy, schedule, selector, m, tau=1, eviction_seed=0,
-                   cost_store=unit_cost, cost_select=unit_select_cost,
-                   cost_train=unit_cost):
+def apply_strategy(strategy, schedule, selector, m, tau=1, eviction_seed=0):
     """Run :func:`strategy_steps` to the end with a fresh ledger; returns the
     per-step store snapshots and the cost ledger."""
-    ledger = CostLedger(cost_store, cost_select, cost_train)
+    ledger = CostLedger()
     steps = strategy_steps(strategy, schedule, selector, m, ledger, tau, eviction_seed)
     return [store.snapshot() for store in steps], ledger

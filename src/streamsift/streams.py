@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .models.base import LabelledExample
+from .rng import rng_from
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -57,7 +58,7 @@ def split_stream(dataset, num_steps, seed=None, examples_per_step=None):
         )
     rng = None
     if seed is not None or examples_per_step is not None:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed) if seed is not None else 0]))
+        rng = rng_from(seed if seed is not None else 0)
     order = classes.copy()
     if seed is not None:
         order = rng.permutation(order)
@@ -82,7 +83,7 @@ def permuted_stream(dataset, num_steps, seed=0):
     if len(dataset) == 0:
         raise ConfigError("dataset is empty")
     dim = dataset[0].features.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = rng_from(seed)
     steps = []
     classes = sorted(set(int(ex.label) for ex in dataset))
     for t in range(num_steps):
@@ -100,7 +101,7 @@ def stationary_stream(dataset, num_steps, seed=0):
     n = len(dataset)
     if n < num_steps:
         raise ConfigError(f"cannot split {n} examples into {num_steps} non-empty batches")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = rng_from(seed)
     perm = rng.permutation(n)
     chunks = np.array_split(perm, num_steps)
     steps = [[dataset[i] for i in chunk] for chunk in chunks]
@@ -163,15 +164,12 @@ def load_csv(path, label_column, header=False):
     return examples
 
 
-def save_csv(dataset, path, label_column=-1):
-    """Write examples as CSV with the label in the last (default) column."""
+def save_csv(dataset, path):
+    """Write examples as CSV with the label in the last column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for ex in dataset:
-            row = [repr(v) for v in ex.features.tolist()]
-            pos = label_column % (len(row) + 1)
-            row.insert(pos, str(ex.label))
-            writer.writerow(row)
+            writer.writerow([repr(v) for v in ex.features.tolist()] + [str(ex.label)])
 
 
 def load_features_csv(path):
@@ -248,7 +246,7 @@ def synth_blobs(num_classes, per_class, dim=2, spread=1.0, seed=0, box=5.0):
     """Isotropic Gaussian clusters, one per class, at seeded uniform means."""
     if num_classes < 2:
         raise ConfigError("need at least 2 classes")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    rng = rng_from(seed)
     means = rng.uniform(-box, box, size=(num_classes, dim))
     examples = []
     for c in range(num_classes):

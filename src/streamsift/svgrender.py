@@ -10,7 +10,7 @@ def _gray_hex(level):
     return f"#{v:02x}{v:02x}{v:02x}"
 
 
-def heatmap_svg(values, title="", cell_px=8, margin=40):
+def heatmap_svg(values, title="", cell_px=8):
     """Render a 2-d array as a grayscale heatmap (darker = higher value).
 
     Values are min-max normalized per grid. Non-finite cells are drawn with
@@ -27,6 +27,7 @@ def heatmap_svg(values, title="", cell_px=8, margin=40):
         vmin = vmax = 0.0
     span = vmax - vmin
 
+    margin = 40  # pixels
     width = margin * 2 + cols * cell_px + 70
     height = margin * 2 + rows * cell_px
     parts = [
@@ -79,9 +80,9 @@ def heatmap_svg(values, title="", cell_px=8, margin=40):
     return "\n".join(parts)
 
 
-def learning_curve_svg(step_labels, mean, stderr, title="", ylabel="accuracy",
-                       width=560, height=360):
-    """One mean curve with a +-stderr band over experiment steps."""
+def learning_curve_svg(step_labels, mean, stderr, title=""):
+    """One mean accuracy curve with a +-stderr band over experiment steps."""
+    width, height = 560, 360  # pixels
     mean = np.asarray(mean, dtype=float)
     stderr = np.asarray(stderr, dtype=float)
     ml, mr, mt, mb = 60, 20, 30, 46
@@ -126,7 +127,7 @@ def learning_curve_svg(step_labels, mean, stderr, title="", ylabel="accuracy",
         )
     parts.append(
         f'<text x="{ml - 40}" y="{mt + ph / 2:.2f}" font-family="monospace" '
-        f'font-size="11" transform="rotate(-90 {ml - 40} {mt + ph / 2:.2f})">{ylabel}</text>'
+        f'font-size="11" transform="rotate(-90 {ml - 40} {mt + ph / 2:.2f})">accuracy</text>'
     )
     parts.append(
         f'<text x="{ml + pw / 2:.2f}" y="{height - 8}" text-anchor="middle" '

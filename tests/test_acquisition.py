@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from streamsift import (
+    BootstrapForest,
     DegenerateEvidenceError,
+    DirichletHistogramClassifier,
+    DropoutMLP,
     FiniteHypothesisModel,
     LabelledExample,
     TargetSet,
     ValidationError,
     entropy,
     epig,
+    epig_scores,
     la_epig,
+    la_epig_scores,
     mic,
+    mic_scores,
     predictive_ig,
     rho_loss,
+    rho_loss_scores,
     score_pool,
 )
 
@@ -346,3 +353,41 @@ class TestScorePool:
             assert np.allclose(
                 [s.value for s in r1], [s.value for s in r2], atol=1e-12
             )
+
+
+class TestInputRule:
+    """A 1-D X is N inputs with one feature each, for every model and kernel."""
+
+    X = np.arange(4.0)
+    y = np.array([0, 1, 1, 0])
+
+    def fitted(self, kind):
+        if kind == "forest":
+            model = BootstrapForest(2, num_trees=5, seed=1)
+        elif kind == "dirichlet":
+            model = DirichletHistogramClassifier(2, [0.0], [3.0], bins_per_dim=2,
+                                                 num_samples=5, seed=1)
+        elif kind == "dropout_mlp":
+            model = DropoutMLP(1, 2, max_steps=5, num_samples=5, seed=1)
+        else:
+            model = make_finite(np.random.default_rng(1), 3, 2, grid_size=4)
+        return model.fit([ex([x], c) for x, c in zip(self.X, self.y)])
+
+    @pytest.mark.parametrize("kind", ["forest", "dirichlet", "dropout_mlp", "finite"])
+    def test_one_dimensional_inputs_are_single_feature_rows(self, kind):
+        model = self.fitted(kind)
+        aux = self.fitted("finite")
+        X1, X2 = self.X, self.X[:, None]
+        assert np.array_equal(model.conditionals(X1), model.conditionals(X2))
+        assert np.array_equal(TargetSet(X1).inputs, TargetSet(X2).inputs)
+        targets = TargetSet(X2)
+        pairs = [
+            (epig_scores(model, X1, targets), epig_scores(model, X2, targets)),
+            (la_epig_scores(model, X1, self.y, targets),
+             la_epig_scores(model, X2, self.y, targets)),
+            (mic_scores(model, X1, self.y), mic_scores(model, X2, self.y)),
+            (rho_loss_scores(model, aux, X1, self.y),
+             rho_loss_scores(model, aux, X2, self.y)),
+        ]
+        for one_d, two_d in pairs:
+            assert np.array_equal(one_d, two_d, equal_nan=True)

@@ -100,6 +100,19 @@ class TestRunCommand:
             assert f"seed {seed} failed: IndexError: index 0 is out of bounds" in err
         assert (tmp_path / "out" / "results.json").exists()
 
+    @pytest.mark.parametrize("model,message", [
+        ({"kind": "forest", "min_leaf": 0}, "model (forest): min_leaf must be >= 1"),
+        ({"kind": "forest", "min_leaf": "x"}, "model.min_leaf must be an integer"),
+        ({"kind": "dropout_mlp", "hidden": [8, "x"]}, "model.hidden[1] must be an integer"),
+    ])
+    def test_bad_model_field_exit_2_writes_nothing(self, tmp_path, capsys, caplog,
+                                                   model, message):
+        path = write_config(tmp_path, model=model)
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not caplog.records
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_byte_identical_excluding_timing(self, tmp_path):
         path_a = write_config(tmp_path, "ca.json", output={"dir": str(tmp_path / "a")})
         path_b = write_config(tmp_path, "cb.json", output={"dir": str(tmp_path / "b")})
@@ -245,3 +258,46 @@ class TestScoreCommand:
             "score", "--model", "{not json", "--store", str(store),
             "--candidates", str(cands), "--objective", "mic",
         ]) == 2
+
+    def test_bad_model_value_exit_2(self, tmp_path, capsys):
+        store, cands, targets, _ = finite_fixture_files(tmp_path)
+        assert main([
+            "score", "--model", '{"kind": "forest", "beta": 0}', "--store", str(store),
+            "--candidates", str(cands), "--objective", "mic",
+        ]) == 2
+        assert "model (forest): leaf smoothing beta must be positive" in capsys.readouterr().err
+
+    def test_model_spec_not_an_object_exit_2(self, tmp_path, capsys):
+        store, cands, _, _ = finite_fixture_files(tmp_path)
+        assert main([
+            "score", "--model", "5", "--store", str(store),
+            "--candidates", str(cands), "--objective", "mic",
+        ]) == 2
+        assert "model must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,part,width", [
+        ({"kind": "forest"}, "targets", 1),
+        ({"kind": "forest"}, "targets", 4),
+        ({"kind": "dropout_mlp"}, "candidates", 3),
+    ])
+    def test_feature_width_mismatch_exit_2(self, tmp_path, capsys, model, part, width):
+        rng = np.random.default_rng(0)
+        files = {}
+        for name, rows, cols, labelled in (("store", 6, 2, True), ("candidates", 4, 2, True),
+                                           ("targets", 3, 2, False)):
+            cols = width if name == part else cols
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(
+                ",".join(map(repr, row)) + (f",{i % 2}" if labelled else "") + "\n"
+                for i, row in enumerate(rng.normal(size=(rows, cols)).tolist())
+            ))
+            files[name] = str(path)
+        code = main([
+            "score", "--model", json.dumps(model), "--store", files["store"],
+            "--candidates", files["candidates"], "--targets", files["targets"],
+            "--objective", "epig",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{files[part]} has {width} features per row" in err
+        assert f"{files['store']} has 2" in err

@@ -117,6 +117,15 @@ class TestFiniteHypothesisModel:
         with pytest.raises(DegenerateEvidenceError):
             m.fit([ex([0.0], 1)])
 
+    def test_label_out_of_range_in_example_order(self):
+        with pytest.raises(FitError, match="label 2 out of range for C=2"):
+            self.two_hyp().fit([ex([0.0], 0), ex([1.0], 2)])
+        # an earlier example's error still comes first
+        with pytest.raises(GridLookupError):
+            self.two_hyp().fit([ex([0.5], 0), ex([1.0], 2)])
+        with pytest.raises(FitError):
+            self.two_hyp().fit([ex([1.0], 2), ex([0.5], 0)])
+
     def test_reweighting_equals_explicit_refit(self):
         """Implicit updating is exact Bayes under exhaustive enumeration."""
         rng = np.random.default_rng(17)
@@ -466,6 +475,10 @@ class TestDropoutMLP:
     def test_empty_fit(self):
         with pytest.raises(FitError):
             DropoutMLP(2, 2).fit([])
+
+    def test_label_out_of_range(self):
+        with pytest.raises(FitError, match="label 2 out of range for C=2"):
+            DropoutMLP(2, 2, max_steps=1).fit([ex([0.0, 0.0], 0), ex([1.0, 1.0], 2)])
 
     def test_marginal_consistency(self):
         m = DropoutMLP(2, 2, hidden=(8,), dropout_rate=0.2, max_steps=10,
