@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEvidenceError, ValidationError
-from .models.base import as_inputs, dataset_arrays
+from .models.base import as_input, as_inputs, dataset_arrays
 from .prob import entropy, entropy_of_array, mutual_information_of_array
 from .rng import rng_from
 
@@ -138,7 +138,7 @@ def predictive_ig(model, x, y, x_star):
 
 def la_epig(model, x, y, targets):
     """Mean predictive information gain of (x, y) over the target inputs."""
-    score = la_epig_scores(model, np.asarray(x, dtype=float)[None, :], [y], targets)[0]
+    score = la_epig_scores(model, as_input(x), [y], targets)[0]
     if np.isnan(score):
         raise DegenerateEvidenceError(
             f"label {y} has zero marginal likelihood at the candidate input"
@@ -148,12 +148,12 @@ def la_epig(model, x, y, targets):
 
 def epig(model, x, targets):
     """Expected predictive information gain of input x; always >= 0."""
-    return float(epig_scores(model, np.asarray(x, dtype=float)[None, :], targets)[0])
+    return float(epig_scores(model, as_input(x), targets)[0])
 
 
 def mic(model, x, y, eta=1.0):
     """Memorable information criterion of a candidate pair."""
-    score = mic_scores(model, np.asarray(x, dtype=float)[None, :], [y], eta=eta)[0]
+    score = mic_scores(model, as_input(x), [y], eta=eta)[0]
     if np.isnan(score):
         raise DegenerateEvidenceError(f"zero marginal mass on label {y}")
     return float(score)
@@ -161,7 +161,7 @@ def mic(model, x, y, eta=1.0):
 
 def rho_loss(model, aux_model, x, y):
     """Reducible holdout loss against an auxiliary holdout-trained model."""
-    score = rho_loss_scores(model, aux_model, np.asarray(x, dtype=float)[None, :], [y])[0]
+    score = rho_loss_scores(model, aux_model, as_input(x), [y])[0]
     if np.isnan(score):
         raise DegenerateEvidenceError(f"zero marginal mass on label {y}")
     return float(score)

@@ -53,6 +53,24 @@ def as_inputs(X):
     return X[:, None] if X.ndim == 1 else X
 
 
+def as_input(x):
+    """A single input x as a batch of one, shape (1, d); a scalar x is one
+    input with one feature."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValidationError(f"a single input must be a scalar or 1-d, got shape {x.shape}")
+    return x.reshape(1, -1)
+
+
+def float_array(value, name):
+    """``value`` as a float array; one that does not convert raises
+    :class:`ValidationError` naming ``name``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers ({exc})") from None
+
+
 class PredictiveEnsemble:
     """K per-sample conditional predictives for one input, plus weights."""
 
@@ -139,7 +157,7 @@ class Model:
         return np.full(self.num_samples, 1.0 / self.num_samples)
 
     def ensemble_predict(self, x):
-        cond = self.conditionals(np.asarray(x, dtype=float)[None, :])[0]
+        cond = self.conditionals(as_input(x))[0]
         return PredictiveEnsemble(cond, self.sample_weights)
 
     def marginal_predict(self, x):

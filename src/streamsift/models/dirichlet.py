@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import DomainError, FitError, ValidationError
 from ..prob import dirichlet_kl
 from ..rng import rng_from
-from .base import Model, as_inputs, dataset_arrays
+from .base import Model, as_input, as_inputs, dataset_arrays, float_array
 
 
 class DirichletHistogramClassifier(Model):
@@ -22,8 +22,8 @@ class DirichletHistogramClassifier(Model):
         if alpha0 <= 0:
             raise DomainError("alpha0 must be strictly positive")
         self.num_classes = int(num_classes)
-        self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        self.lower = np.atleast_1d(float_array(lower, "lower"))
+        self.upper = np.atleast_1d(float_array(upper, "upper"))
         if self.lower.shape != self.upper.shape or np.any(self.upper <= self.lower):
             raise ValidationError("bounding box must satisfy lower < upper")
         self.bins_per_dim = int(bins_per_dim)
@@ -31,6 +31,8 @@ class DirichletHistogramClassifier(Model):
             raise ValidationError("bins_per_dim must be >= 1")
         self.alpha0 = float(alpha0)
         self.num_samples = int(num_samples)
+        if self.num_samples < 1:
+            raise ValidationError("num_samples must be >= 1")
         self.seed = int(seed)
         self.dim = self.lower.shape[0]
         self.num_bins = self.bins_per_dim ** self.dim
@@ -66,8 +68,7 @@ class DirichletHistogramClassifier(Model):
 
     def bin_index(self, x):
         """Flat bin index of a single input."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return int(self.bin_indices(x[None, :])[0])
+        return int(self.bin_indices(as_input(x))[0])
 
     def fit(self, examples):
         """Reset every bin to the prior, then add one count per example."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import DegenerateEvidenceError, FitError, GridLookupError, ValidationError
 from ..prob import SUM_ATOL
-from .base import Model, as_inputs, dataset_arrays
+from .base import Model, as_input, as_inputs, dataset_arrays, float_array
 
 # matching tolerance for grid lookups
 GRID_ATOL = 1e-9
@@ -35,8 +35,8 @@ class FiniteHypothesisModel(Model):
         tables : (J, G, C) array; tables[j, g] = p(y | grid[g], hypothesis j).
         prior_weights : (J,) prior mass per hypothesis; uniform if omitted.
         """
-        self.grid = as_inputs(grid)
-        self.tables = np.asarray(tables, dtype=float)
+        self.grid = as_inputs(float_array(grid, "grid"))
+        self.tables = float_array(tables, "tables")
         if self.tables.ndim != 3 or self.tables.shape[1] != self.grid.shape[0]:
             raise ValidationError(
                 f"tables must be (J, G, C) with G={self.grid.shape[0]}, "
@@ -52,7 +52,7 @@ class FiniteHypothesisModel(Model):
         if prior_weights is None:
             prior = np.full(J, 1.0 / J)
         else:
-            prior = np.asarray(prior_weights, dtype=float)
+            prior = float_array(prior_weights, "prior")
             if prior.shape != (J,) or np.any(prior < 0):
                 raise ValidationError("prior weights must be J non-negative reals")
             if abs(prior.sum() - 1.0) > SUM_ATOL:
@@ -104,7 +104,7 @@ class FiniteHypothesisModel(Model):
 
     def grid_index(self, x):
         """Grid row of a single input."""
-        return int(self.grid_indices(np.reshape(x, (1, -1)))[0])
+        return int(self.grid_indices(as_input(x))[0])
 
     def fit(self, examples):
         """Reset to the prior, then update exactly on each example in turn."""

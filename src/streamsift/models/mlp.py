@@ -44,6 +44,8 @@ class DropoutMLP(Model):
         self.weight_decay = float(weight_decay)
         self.val_fraction = float(val_fraction)
         self.num_samples = int(num_samples)
+        if self.num_samples < 1:
+            raise ValidationError("num_samples must be >= 1")
         self.seed = int(seed)
         self._fit_count = 0
         self.params = None

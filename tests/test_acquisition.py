@@ -391,3 +391,32 @@ class TestInputRule:
         ]
         for one_d, two_d in pairs:
             assert np.array_equal(one_d, two_d, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["forest", "dirichlet", "dropout_mlp", "finite"])
+    def test_scalar_input_is_one_feature(self, kind):
+        """A scalar x is the same input as [x] at every single-input call."""
+        model = self.fitted(kind)
+        aux = self.fitted("finite")
+        targets = TargetSet(self.X[:, None])
+        for x, y in ((1.0, 1), (np.float64(2.0), 0)):
+            for scalar, row in (
+                (model.ensemble_predict(x).conditionals,
+                 model.ensemble_predict([x]).conditionals),
+                (model.marginal_predict(x).probs, model.marginal_predict([x]).probs),
+                (model.posterior_predictive_after_update(x, y, x).probs,
+                 model.posterior_predictive_after_update([x], y, [x]).probs),
+                (epig(model, x, targets), epig(model, [x], targets)),
+                (la_epig(model, x, y, targets), la_epig(model, [x], y, targets)),
+                (mic(model, x, y), mic(model, [x], y)),
+                (rho_loss(model, aux, x, y), rho_loss(model, aux, [x], y)),
+            ):
+                assert np.array_equal(scalar, row)
+        if kind == "finite":
+            assert model.grid_index(2.0) == model.grid_index([2.0]) == 2
+        if kind == "dirichlet":
+            assert model.bin_index(2.0) == model.bin_index([2.0]) == 1
+
+    def test_single_input_must_be_one_row(self):
+        model = self.fitted("finite")
+        with pytest.raises(ValidationError, match=r"scalar or 1-d, got shape \(1, 1\)"):
+            model.ensemble_predict([[1.0]])

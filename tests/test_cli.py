@@ -104,6 +104,10 @@ class TestRunCommand:
         ({"kind": "forest", "min_leaf": 0}, "model (forest): min_leaf must be >= 1"),
         ({"kind": "forest", "min_leaf": "x"}, "model.min_leaf must be an integer"),
         ({"kind": "dropout_mlp", "hidden": [8, "x"]}, "model.hidden[1] must be an integer"),
+        ({"kind": "dirichlet", "lower": ["x", 0], "upper": [1, 1]},
+         "model (dirichlet): lower must be an array of numbers"),
+        ({"kind": "finite_hypothesis", "grid": [[0.0, 0.0]], "tables": [[[1.0, "y"]]]},
+         "model (finite_hypothesis): tables must be an array of numbers"),
     ])
     def test_bad_model_field_exit_2_writes_nothing(self, tmp_path, capsys, caplog,
                                                    model, message):
@@ -266,6 +270,33 @@ class TestScoreCommand:
             "--candidates", str(cands), "--objective", "mic",
         ]) == 2
         assert "model (forest): leaf smoothing beta must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,count,message", [
+        ({"kind": "forest"}, "0", "model (forest): num_trees must be >= 1"),
+        ({"kind": "forest"}, "-3", "model (forest): num_trees must be >= 1"),
+        ({"kind": "dirichlet"}, "0", "model (dirichlet): num_samples must be >= 1"),
+        ({"kind": "dropout_mlp"}, "-3", "model (dropout_mlp): num_samples must be >= 1"),
+    ])
+    def test_sample_count_below_one_exit_2(self, tmp_path, capsys, model, count, message):
+        store, cands, targets, _ = finite_fixture_files(tmp_path)
+        assert main([
+            "score", "--model", json.dumps(model), "--store", str(store),
+            "--candidates", str(cands), "--targets", str(targets),
+            "--objective", "epig", "--sample-count", count,
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    def test_bad_dirichlet_bounds_exit_2(self, tmp_path, capsys):
+        store, cands, targets, _ = finite_fixture_files(tmp_path)
+        assert main([
+            "score", "--model", '{"kind": "dirichlet", "lower": ["x"], "upper": [1]}',
+            "--store", str(store), "--candidates", str(cands), "--objective", "mic",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "model (dirichlet): lower must be an array of numbers" in err
 
     def test_model_spec_not_an_object_exit_2(self, tmp_path, capsys):
         store, cands, _, _ = finite_fixture_files(tmp_path)

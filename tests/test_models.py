@@ -18,7 +18,7 @@ from streamsift import (
     dirichlet_kl,
     reweight_ensemble,
 )
-from streamsift.models.forest import _Tree
+from streamsift.models.forest import _grow_trees
 
 
 def ex(features, label):
@@ -107,6 +107,18 @@ class TestFiniteHypothesisModel:
         assert np.allclose(m.sample_weights, [0.81 / 0.82, 0.01 / 0.82])
         assert m.sample_weights[0] == pytest.approx(0.987805, abs=1e-6)
 
+    @pytest.mark.parametrize("field,value", [
+        ("grid", [[0.0], ["x"]]),
+        ("tables", [[[0.5, 0.5], [0.5, {}]]]),
+        ("prior", ["a"]),
+        ("grid", [[0.0], [1.0, 2.0]]),
+    ])
+    def test_rejects_values_that_are_not_numbers(self, field, value):
+        args = {"grid": [[0.0], [1.0]], "tables": [[[0.5, 0.5], [0.5, 0.5]]],
+                "prior": [1.0], field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an array of numbers"):
+            FiniteHypothesisModel(args["grid"], args["tables"], args["prior"])
+
     def test_off_grid_lookup(self):
         with pytest.raises(GridLookupError):
             self.two_hyp().ensemble_predict([0.5])
@@ -177,6 +189,20 @@ class TestDirichletHistogramClassifier:
         assert m.parameter_kl_of_update([0.25], 0) == pytest.approx(
             dirichlet_kl([2.0, 1.0], [1.0, 1.0]), abs=1e-15
         )
+
+    @pytest.mark.parametrize("lower,upper,field", [
+        (["x", 0], [1, 1], "lower"),
+        ([0, 0], [1, {}], "upper"),
+        ([[0], [0, 1]], [1, 1], "lower"),
+    ])
+    def test_rejects_bounds_that_are_not_numbers(self, lower, upper, field):
+        with pytest.raises(ValidationError, match=f"{field} must be an array of numbers"):
+            DirichletHistogramClassifier(2, lower, upper)
+
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, num_samples):
+        with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+            DirichletHistogramClassifier(2, [0.0], [1.0], num_samples=num_samples)
 
     def test_out_of_box_input(self):
         m = DirichletHistogramClassifier(2, [0.0], [1.0])
@@ -284,7 +310,8 @@ class TestBootstrapForest:
         (-1.7e308, -1e308),  # ... and to -inf
     ])
     def test_threshold_splits_adjacent_and_huge_values(self, a, b):
-        tree = _Tree(2, 3, 1, 1.0).fit(np.array([[a], [b]]), np.array([0, 1]))
+        rows = np.arange(2)[None, :]  # one tree on the two rows as given
+        tree = _grow_trees(np.array([[a], [b]]), np.array([0, 1]), rows, 2, 3, 1, 1.0)[0]
         assert tree.feature[0] == 0
         assert a <= tree.threshold[0] < b
         leaves = [tree.left[0], tree.right[0]]
@@ -326,9 +353,31 @@ class TestBootstrapForest:
         X = np.stack([e_.features for e_ in data])
         assert np.array_equal(a.conditionals(X), b.conditionals(X))
 
+    @pytest.mark.parametrize("num_trees", [0, -3])
+    def test_rejects_fewer_than_one_tree(self, num_trees):
+        with pytest.raises(ValidationError, match="num_trees must be >= 1"):
+            BootstrapForest(2, num_trees=num_trees)
+
+    def test_fit_memory_at_harness_shape(self):
+        """32 trees at n=500, d=16, C=10 grow in one block; the level search
+        runs in chunks, so the peak stays near 10 MB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(16)
+        data = [ex(x, int(c)) for x, c in zip(rng.normal(size=(500, 16)),
+                                             rng.integers(0, 10, size=500))]
+        tracemalloc.start()
+        try:
+            m = BootstrapForest(10, num_trees=32, max_depth=10, beta=0.05, seed=0).fit(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(m.trees) == 32
+        assert peak < 16 * 2**20
+
     def test_fit_memory_at_mnist_shape(self, mnist_like):
-        """One tree at n=300, d=784, C=10: the split search's (d, n, C)
-        class counts are int32, so the peak stays near 30 MB."""
+        """One tree at n=300, d=784, C=10: a block of one tree, searched in
+        chunks, so the peak stays near 10 MB."""
         import tracemalloc
 
         X, y = mnist_like
@@ -340,7 +389,7 @@ class TestBootstrapForest:
         finally:
             tracemalloc.stop()
         assert len(m.trees[0].feature) > 1
-        assert peak < 40 * 2**20
+        assert peak < 20 * 2**20
 
     def test_marginal_consistency(self):
         data = [ex([float(i % 5), float(i % 3)], i % 2) for i in range(40)]
@@ -471,6 +520,11 @@ class TestDropoutMLP:
                        weight_decay=1.0, max_steps=50, seed=0)
         with pytest.raises(TrainingDivergedError):
             m.fit(tiny_net_fixture())
+
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, num_samples):
+        with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+            DropoutMLP(2, 2, num_samples=num_samples)
 
     def test_empty_fit(self):
         with pytest.raises(FitError):

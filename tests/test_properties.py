@@ -18,9 +18,10 @@ from streamsift import (
     prob,
 )
 from streamsift.acquisition import epig_scores, la_epig_scores
+from streamsift.models import forest
 from streamsift.models.finite import GRID_ATOL
-from streamsift.models.forest import _Tree
 from streamsift.prob import SUM_ATOL, ZERO_EPS, entropy_of_array
+from streamsift.rng import rng_from
 
 OFFSETS = (0.0, 0.5 * GRID_ATOL, -0.5 * GRID_ATOL, GRID_ATOL, -GRID_ATOL,
            2 * GRID_ATOL, -2 * GRID_ATOL)
@@ -94,7 +95,102 @@ def _old_gini(counts):
     return 1.0 - (p * p).sum(axis=-1)
 
 
-class OldTree(_Tree):
+def _presort_gini(counts, n):
+    """Gini impurity of rows of class counts, shape (V, C), with row totals n."""
+    p = counts / n[:, None]
+    return 1.0 - (p * p).sum(axis=-1)
+
+
+class PresortTree:
+    """Per-node growth on presorted columns: a tree argsorts its rows once per
+    feature (stably) and hands each child the parent's orders filtered to the
+    child's rows; each node searches its own (feature, position) cells."""
+
+    def __init__(self, num_classes, max_depth, min_leaf, beta):
+        self.num_classes = num_classes
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.beta = beta
+
+    def _leaf_dist(self, y):
+        counts = np.bincount(y, minlength=self.num_classes).astype(float)
+        return (counts + self.beta) / (len(y) + self.beta * self.num_classes)
+
+    def _new_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.dist.append(None)
+        return len(self.feature) - 1
+
+    def _finish(self):
+        self.feature = np.array(self.feature)
+        self.threshold = np.array(self.threshold)
+        self.left = np.array(self.left)
+        self.right = np.array(self.right)
+        self.dist = np.stack([d if d is not None else np.zeros(self.num_classes)
+                              for d in self.dist])
+        return self
+
+    def _best_split(self, XT, y, order):
+        n = order.shape[1]
+        pos = np.arange(self.min_leaf, n - self.min_leaf + 1)
+        if pos.size == 0:
+            return None
+        xs = np.take_along_axis(XT, order, axis=1)  # (d, n)
+        valid = xs[:, pos] > xs[:, pos - 1]  # (d, P)
+        feats = np.flatnonzero(valid.any(axis=1))
+        if feats.size == 0:
+            return None
+        fi, pi = np.nonzero(valid[feats])
+        labels = y[order[feats]]  # (d', n)
+        left = np.cumsum(labels[..., None] == np.arange(self.num_classes),
+                         axis=1, dtype=np.int32)  # (d', n, C)
+        split = pos[pi]
+        lc = left[fi, split - 1]  # (V, C)
+        rc = left[fi, -1] - lc
+        nl = split.astype(float)
+        score = (nl * _presort_gini(lc, nl) + (n - nl) * _presort_gini(rc, n - nl)) / n
+        i = int(np.argmin(score))
+        feat, at = feats[fi[i]], split[i]
+        lo, hi = float(xs[feat, at - 1]), float(xs[feat, at])
+        mid = 0.5 * (lo + hi)  # Python floats: an overflow is inf, no warning
+        return int(feat), mid if lo <= mid < hi else lo
+
+    def fit(self, X, y):
+        self.feature, self.threshold = [], []
+        self.left, self.right, self.dist = [], [], []
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")
+        self._grow(XT, y, np.arange(len(y)), order, depth=0)
+        return self._finish()
+
+    def _grow(self, XT, y, rows, order, depth):
+        node = self._new_node()
+        y_node = y[rows]
+        pure = np.all(y_node == y_node[0])
+        if depth >= self.max_depth or pure or len(rows) < 2 * self.min_leaf:
+            self.dist[node] = self._leaf_dist(y_node)
+            return node
+        split = self._best_split(XT, y, order)
+        if split is None:
+            self.dist[node] = self._leaf_dist(y_node)
+            return node
+        feat, thr = split
+        go_left = XT[feat] <= thr
+        in_left = go_left[order]
+        d = len(order)
+        self.feature[node] = feat
+        self.threshold[node] = thr
+        self.left[node] = self._grow(XT, y, rows[go_left[rows]],
+                                     order[in_left].reshape(d, -1), depth + 1)
+        self.right[node] = self._grow(XT, y, rows[~go_left[rows]],
+                                      order[~in_left].reshape(d, -1), depth + 1)
+        return node
+
+
+class OldTree(PresortTree):
     """The split search that sorts at every node and scores every
     (position, feature) cell from a float one-hot cumsum."""
 
@@ -129,13 +225,7 @@ class OldTree(_Tree):
         self.feature, self.threshold = [], []
         self.left, self.right, self.dist = [], [], []
         self._grow(X, y, depth=0)
-        self.feature = np.array(self.feature)
-        self.threshold = np.array(self.threshold)
-        self.left = np.array(self.left)
-        self.right = np.array(self.right)
-        self.dist = np.stack([d if d is not None else np.zeros(self.num_classes)
-                              for d in self.dist])
-        return self
+        return self._finish()
 
     def _grow(self, X, y, depth):
         node = self._new_node()
@@ -308,11 +398,48 @@ class TestLAEpigKernel:
 # --- forest split search -----------------------------------------------------
 
 
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "dist")
+
+
+def grow_one(X, y, num_classes, max_depth, min_leaf, beta):
+    """The level-wise grower on the rows of X as given (no resampling)."""
+    rows = np.arange(len(y))[None, :]
+    return forest._grow_trees(X, y, rows, num_classes, max_depth, min_leaf, beta)[0]
+
+
 def assert_same_tree(X, y, num_classes, max_depth, min_leaf, beta=0.5):
     args = (num_classes, max_depth, min_leaf, beta)
-    new, old = _Tree(*args).fit(X, y), OldTree(*args).fit(X, y)
-    for name in ("feature", "threshold", "left", "right", "dist"):
+    new, old = grow_one(X, y, *args), OldTree(*args).fit(X, y)
+    for name in NODE_ARRAYS:
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+
+def assert_same_forest(X, y, num_classes, max_depth, min_leaf, num_trees, seed,
+                       beta=0.5):
+    """BootstrapForest.fit's trees against the presorted per-node oracle grown
+    on the same bootstrap draws."""
+    model = BootstrapForest(num_classes, num_trees=num_trees, max_depth=max_depth,
+                            min_leaf=min_leaf, beta=beta, seed=seed)
+    model.fit([LabelledExample(x, int(c)) for x, c in zip(X, y)])
+    draws = rng_from(seed)
+    assert len(model.trees) == num_trees
+    for tree in model.trees:
+        idx = draws.integers(0, len(y), size=len(y))
+        old = PresortTree(num_classes, max_depth, min_leaf, beta).fit(X[idx], y[idx])
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(tree, name), getattr(old, name)), name
+
+
+def awkward_data(rng, n, d, C):
+    """Quantised values (ties everywhere), some constant columns, some
+    classes absent, signed zeros and a value scale from tiny to huge."""
+    levels = int(rng.choice([2, 3, 5, 17, 1000]))
+    scale = float(rng.choice([1e-300, 1.0, 1e300]))
+    X = (rng.integers(0, levels, size=(n, d)) - levels // 2) * scale
+    X[:, rng.uniform(size=d) < 0.2] = rng.choice([0.0, -0.0, 1.5])
+    X[rng.uniform(size=(n, d)) < 0.1] *= -0.0
+    y = rng.integers(0, int(rng.integers(1, C + 1)), size=n)
+    return X, y
 
 
 class TestForestSplitSearch:
@@ -320,23 +447,40 @@ class TestForestSplitSearch:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 20),
            st.integers(2, 10), st.integers(1, 3), st.integers(0, 12))
     def test_matches_per_node_sort(self, seed, n, d, C, min_leaf, max_depth):
-        """Quantised values (ties everywhere), some constant columns, some
-        classes absent, signed zeros and a value scale from tiny to huge."""
-        rng = np.random.default_rng(seed)
-        levels = int(rng.choice([2, 3, 5, 17, 1000]))
-        scale = float(rng.choice([1e-300, 1.0, 1e300]))
-        X = (rng.integers(0, levels, size=(n, d)) - levels // 2) * scale
-        X[:, rng.uniform(size=d) < 0.2] = rng.choice([0.0, -0.0, 1.5])
-        X[rng.uniform(size=(n, d)) < 0.1] *= -0.0
-        y = rng.integers(0, int(rng.integers(1, C + 1)), size=n)
+        X, y = awkward_data(np.random.default_rng(seed), n, d, C)
         assert_same_tree(X, y, C, max_depth, min_leaf)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 8),
+           st.integers(2, 6), st.integers(1, 3), st.integers(0, 10),
+           st.integers(1, 40), st.sampled_from([1, 300, 1 << 40]),
+           st.sampled_from([1, 50, 1 << 40]))
+    def test_forest_matches_presorted_oracle(self, seed, n, d, C, min_leaf, max_depth,
+                                             K, block, chunk):
+        """Blocks of one tree, of a few and of all K; searches of one feature
+        row at a time, of a few and of the whole level."""
+        X, y = awkward_data(np.random.default_rng(seed), n, d, C)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_BLOCK_CELLS", block)
+            mp.setattr(forest, "_CHUNK_CELLS", chunk)
+            assert_same_forest(X, y, C, max_depth, min_leaf, K, seed % 1000)
 
     def test_mnist_like_single_tree(self, mnist_like):
         X, y = mnist_like
         assert_same_tree(X, y, 10, max_depth=10, min_leaf=1, beta=0.05)
 
+    @pytest.mark.parametrize("block", [1, 1 << 30])
+    def test_mnist_like_forest(self, mnist_like, block):
+        X, y = mnist_like
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_BLOCK_CELLS", block)
+            assert_same_forest(X, y, 10, max_depth=10, min_leaf=1, num_trees=3,
+                               seed=7, beta=0.05)
+
     def test_no_features(self):
         assert_same_tree(np.zeros((5, 0)), np.array([0, 1, 1, 0, 1]), 2, 3, 1)
+        assert_same_forest(np.zeros((5, 0)), np.array([0, 1, 1, 0, 1]), 2, 3, 1,
+                           num_trees=4, seed=0)
 
 
 # --- entropy and mutual information -------------------------------------------
