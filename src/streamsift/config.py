@@ -60,48 +60,9 @@ def _as_num(value, path, minimum=None):
     return float(value)
 
 
-_DATASET_DEFAULTS = {
-    "blobs": {
-        "num_classes": None, "per_class": None, "dim": 2, "spread": 1.0,
-        "box": 5.0, "eval_per_class": 50, "target_per_class": 20,
-        "holdout_per_class": 0,
-    },
-    "csv": {
-        "path": None, "label_column": None, "header": False,
-        "eval_fraction": 0.2, "target_fraction": 0.1, "holdout_fraction": 0.0,
-    },
-    "idx": {
-        "images": None, "labels": None,
-        "eval_fraction": 0.2, "target_fraction": 0.1, "holdout_fraction": 0.0,
-    },
-}
-
-_MODEL_DEFAULTS = {
-    "forest": {"max_depth": 6, "min_leaf": 1, "beta": 1.0},
-    "dropout_mlp": {"hidden": [16], "dropout_rate": 0.1},
-    "dirichlet": {"bins_per_dim": 4, "alpha0": 1.0, "lower": None, "upper": None},
-    "finite_hypothesis": {"grid": None, "tables": None, "prior": None},
-}
-
-
-def _validate_dataset(raw):
-    source = _require(raw, "source", "stream.dataset")
-    if source not in _DATASET_DEFAULTS:
-        raise ConfigError(
-            f"unknown stream.dataset.source {source!r}; "
-            f"expected one of {sorted(_DATASET_DEFAULTS)}"
-        )
-    defaults = _DATASET_DEFAULTS[source]
-    _check_keys(raw, set(defaults) | {"source"}, "stream.dataset")
-    out = {"source": source}
-    for key, default in defaults.items():
-        if default is None and key not in raw:
-            raise ConfigError(f"missing required field stream.dataset.{key}")
-        out[key] = copy.deepcopy(raw.get(key, default))
-    if source == "blobs":
-        out["num_classes"] = _as_int(out["num_classes"], "stream.dataset.num_classes", 2)
-        out["per_class"] = _as_int(out["per_class"], "stream.dataset.per_class", 1)
-    return out
+def _as_bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path} must be true or false, got {value!r}")
 
 
 def _as_int_list(value, path):
@@ -111,32 +72,75 @@ def _as_int_list(value, path):
         _as_int(v, f"{path}[{i}]")
 
 
-# the type check of a model field whose default has this type; a field that
-# defaults to None is checked by the model's constructor
-_FIELD_CHECKS = {int: _as_int, float: _as_num, list: _as_int_list}
+# the type check of a variant field whose default has this type; a field
+# that defaults to None is checked where it is used (a model's constructor)
+_FIELD_CHECKS = {int: _as_int, float: _as_num, bool: _as_bool, list: _as_int_list}
+
+#: default of a field that a section must give
+REQUIRED = object()
+
+_DATASET_DEFAULTS = {
+    "blobs": {
+        "num_classes": REQUIRED, "per_class": REQUIRED, "dim": 2, "spread": 1.0,
+        "box": 5.0, "eval_per_class": 50, "target_per_class": 20,
+        "holdout_per_class": 0,
+    },
+    "csv": {
+        "path": REQUIRED, "label_column": REQUIRED, "header": False,
+        "eval_fraction": 0.2, "target_fraction": 0.1, "holdout_fraction": 0.0,
+    },
+    "idx": {
+        "images": REQUIRED, "labels": REQUIRED,
+        "eval_fraction": 0.2, "target_fraction": 0.1, "holdout_fraction": 0.0,
+    },
+}
+
+_MODEL_DEFAULTS = {
+    "forest": {"max_depth": 6, "min_leaf": 1, "beta": 1.0},
+    "dropout_mlp": {"hidden": [16], "dropout_rate": 0.1},
+    "dirichlet": {"bins_per_dim": 4, "alpha0": 1.0, "lower": None, "upper": None},
+    "finite_hypothesis": {"grid": REQUIRED, "tables": REQUIRED, "prior": None},
+}
+
+
+def _validate_variant(raw, tag, variants, path):
+    """Check a section whose ``tag`` field names one of ``variants``: reject
+    unknown and missing required fields and type-check each field against its
+    default. Returns a defaults-filled copy whose values are the section's own."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must be an object")
+    name = _require(raw, tag, path)
+    if not isinstance(name, str) or name not in variants:
+        raise ConfigError(
+            f"unknown {path}.{tag} {name!r}; expected one of {sorted(variants)}"
+        )
+    defaults = variants[name]
+    _check_keys(raw, set(defaults) | {tag}, path)
+    out = {tag: name}
+    for key, default in defaults.items():
+        if default is REQUIRED and key not in raw:
+            raise ConfigError(f"missing required field {path}.{key}")
+        out[key] = copy.deepcopy(raw.get(key, default))
+        check = _FIELD_CHECKS.get(type(default))
+        if check is not None:
+            check(out[key], f"{path}.{key}")
+    return out
+
+
+def _validate_dataset(raw):
+    out = _validate_variant(raw, "source", _DATASET_DEFAULTS, "stream.dataset")
+    if out["source"] == "blobs":
+        _as_int(out["num_classes"], "stream.dataset.num_classes", 2)
+        _as_int(out["per_class"], "stream.dataset.per_class", 1)
+    elif out["source"] == "csv":
+        _as_int(out["label_column"], "stream.dataset.label_column")
+    return out
 
 
 def validate_model_spec(raw):
     """Check a model spec against its kind's fields and their default types;
     returns a defaults-filled copy whose values are the spec's own."""
-    if not isinstance(raw, dict):
-        raise ConfigError("model must be an object")
-    kind = _require(raw, "kind", "model")
-    if kind not in _MODEL_DEFAULTS:
-        raise ConfigError(
-            f"unknown model.kind {kind!r}; expected one of {sorted(_MODEL_DEFAULTS)}"
-        )
-    defaults = _MODEL_DEFAULTS[kind]
-    _check_keys(raw, set(defaults) | {"kind"}, "model")
-    out = {"kind": kind}
-    for key, default in defaults.items():
-        if kind == "finite_hypothesis" and key in ("grid", "tables") and key not in raw:
-            raise ConfigError(f"missing required field model.{key}")
-        out[key] = copy.deepcopy(raw.get(key, default))
-        check = _FIELD_CHECKS.get(type(default))
-        if check is not None:
-            check(out[key], f"model.{key}")
-    return out
+    return _validate_variant(raw, "kind", _MODEL_DEFAULTS, "model")
 
 
 def validate_config(raw):

@@ -12,8 +12,9 @@ recorded as failed with ``"<Type>: <message>"``, excluded from aggregates,
 and never aborts the batch. A ``ConfigError`` that shows only once a seed's
 data exist (a split stream without 2*T classes, ``targets.M`` above the
 target pool, a quota above a batch, a model field the model rejects) is the
-configuration's fault, not the seed's, so it propagates and the run produces
-no results.
+configuration's fault, not the seed's, and so is a ``DataFormatError`` (a
+data file that does not parse): either propagates and the run produces no
+results.
 """
 
 import json
@@ -26,7 +27,7 @@ import numpy as np
 
 from .acquisition import TargetSet, score_pool
 from .config import validate_config
-from .errors import ConfigError, FitError, StreamsiftError, ValidationError
+from .errors import ConfigError, DataFormatError, FitError, StreamsiftError, ValidationError
 from .models import (
     BootstrapForest,
     DirichletHistogramClassifier,
@@ -185,8 +186,7 @@ def prepare_data(config, run_seed):
     else:
         schedule = stationary_stream(stream_data, config.stream["steps"], seed=sched_seed)
 
-    labels = {ex.label for ex in stream_data} | {ex.label for ex in eval_set}
-    num_classes = max(labels) + 1
+    num_classes = max(ex.label for ex in stream_data + eval_set + holdout) + 1
     target_pool = (
         np.stack([ex.features for ex in target_data]) if target_data else np.zeros((0, 0))
     )
@@ -432,7 +432,8 @@ def _run_seed(config, run_seed, timing):
 
 def run_experiment(config):
     """Run every seed in turn and aggregate. Returns an ExperimentResult;
-    raises ConfigError when any seed finds the configuration unusable.
+    raises ConfigError or DataFormatError when any seed finds the
+    configuration or its data files unusable.
 
     ``timing`` holds each phase's time summed over the seeds, and ``total``
     the wall time of the whole call.
@@ -445,7 +446,7 @@ def run_experiment(config):
     for seed in config.seeds:
         try:
             per_seed.append(_run_seed(config, seed, timing))
-        except ConfigError:
+        except (ConfigError, DataFormatError):
             raise
         except Exception as exc:  # any other fault fails this seed only
             if not isinstance(exc, StreamsiftError):  # a bug: keep its traceback

@@ -10,7 +10,7 @@ weights let an exhaustive hypothesis enumeration share the same code path.
 import numpy as np
 
 from ..errors import DegenerateEvidenceError, ValidationError
-from ..prob import SUM_ATOL, Categorical
+from ..prob import Categorical, check_probs
 
 
 class LabelledExample:
@@ -63,12 +63,15 @@ def as_input(x):
 
 
 def float_array(value, name):
-    """``value`` as a float array; one that does not convert raises
+    """``value`` as a float array of finite numbers; anything else raises
     :class:`ValidationError` naming ``name``."""
     try:
-        return np.asarray(value, dtype=float)
+        out = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be an array of numbers ({exc})") from None
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{name} must be an array of finite numbers")
+    return out
 
 
 class PredictiveEnsemble:
@@ -83,13 +86,8 @@ class PredictiveEnsemble:
             raise ValidationError(f"conditionals must be KxC with C >= 2, got {c.shape}")
         if w.shape != (c.shape[0],):
             raise ValidationError(f"weights shape {w.shape} does not match K={c.shape[0]}")
-        if np.any(c < -SUM_ATOL) or np.any(w < -SUM_ATOL):
-            raise ValidationError("negative probability in ensemble")
-        row_sums = c.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > SUM_ATOL):
-            raise ValidationError("every conditional row must sum to 1")
-        if abs(w.sum() - 1.0) > SUM_ATOL:
-            raise ValidationError(f"weights sum to {w.sum()}, expected 1")
+        check_probs(c, "conditionals", axis=1)
+        check_probs(w, "weights")
         self.conditionals = c
         self.weights = w
 

@@ -9,7 +9,7 @@ predictives over that grid.
 import numpy as np
 
 from ..errors import DegenerateEvidenceError, FitError, GridLookupError, ValidationError
-from ..prob import SUM_ATOL
+from ..prob import check_probs
 from .base import Model, as_input, as_inputs, dataset_arrays, float_array
 
 # matching tolerance for grid lookups
@@ -44,19 +44,15 @@ class FiniteHypothesisModel(Model):
             )
         if self.tables.shape[2] < 2:
             raise ValidationError("need at least 2 classes")
-        if np.any(self.tables < 0):
-            raise ValidationError("conditional tables must be non-negative")
-        if np.any(np.abs(self.tables.sum(axis=2) - 1.0) > SUM_ATOL):
-            raise ValidationError("every table row must sum to 1")
+        check_probs(self.tables, "tables", axis=2)
         J = self.tables.shape[0]
         if prior_weights is None:
             prior = np.full(J, 1.0 / J)
         else:
             prior = float_array(prior_weights, "prior")
-            if prior.shape != (J,) or np.any(prior < 0):
-                raise ValidationError("prior weights must be J non-negative reals")
-            if abs(prior.sum() - 1.0) > SUM_ATOL:
-                raise ValidationError("prior weights must sum to 1")
+            if prior.shape != (J,):
+                raise ValidationError(f"prior must have shape ({J},), got {prior.shape}")
+            check_probs(prior, "prior")
         self.prior = prior
         self.posterior = prior.copy()
         self.num_classes = self.tables.shape[2]

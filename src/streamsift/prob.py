@@ -22,6 +22,19 @@ ZERO_EPS = 1e-12
 _BLOCK_BYTES = 1 << 20
 
 
+def check_probs(p, name, axis=None):
+    """Raise :class:`ValidationError` unless every entry of ``p`` is finite
+    and at least -``SUM_ATOL`` and every sum along ``axis`` (the whole array
+    when None) lies within ``SUM_ATOL`` of 1. Shapes are the caller's to check."""
+    if not np.all(np.isfinite(p)):
+        raise ValidationError(f"{name} entries must be finite")
+    if np.any(p < -SUM_ATOL):
+        raise ValidationError(f"negative {name} entry: min={p.min()}")
+    off = np.abs(p.sum(axis=axis) - 1.0)
+    if np.any(off > SUM_ATOL):
+        raise ValidationError(f"{name} must sum to 1, off by up to {off.max()}")
+
+
 class Categorical:
     """A normalized probability vector over C >= 2 classes."""
 
@@ -33,13 +46,7 @@ class Categorical:
             raise ValidationError(
                 f"categorical needs a 1-d vector with C >= 2, got shape {p.shape}"
             )
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("categorical entries must be finite")
-        if np.any(p < -SUM_ATOL):
-            raise ValidationError(f"negative probability entry: min={p.min()}")
-        total = p.sum()
-        if abs(total - 1.0) > SUM_ATOL:
-            raise ValidationError(f"probabilities sum to {total}, expected 1")
+        check_probs(p, "categorical")
         self.probs = p
 
     @property
@@ -62,13 +69,7 @@ class JointCategorical:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 2 or p.shape[0] < 2 or p.shape[0] != p.shape[1]:
             raise ValidationError(f"joint needs a square CxC matrix, got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("joint entries must be finite")
-        if np.any(p < -SUM_ATOL):
-            raise ValidationError(f"negative joint entry: min={p.min()}")
-        total = p.sum()
-        if abs(total - 1.0) > SUM_ATOL:
-            raise ValidationError(f"joint sums to {total}, expected 1")
+        check_probs(p, "joint")
         self.probs = p
 
     def marginal_rows(self):

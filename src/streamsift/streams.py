@@ -6,6 +6,7 @@ realizes. All generators are deterministic given (dataset, seed).
 """
 
 import csv
+import math
 import struct
 
 import numpy as np
@@ -114,54 +115,60 @@ def stationary_stream(dataset, num_steps, seed=0):
 # --- ingestion ---------------------------------------------------------------
 
 
-def load_csv(path, label_column, header=False):
-    """Read labelled examples from a comma-separated file.
+def _read_csv(path, label_column=None, header=False):
+    """Yield ``(label, features)`` for each data row of a CSV file, one row
+    at a time.
 
-    Feature columns must parse as floats and the label column as an integer;
-    row order is preserved. Parse failures name the offending row/column.
+    Empty rows (and the first row, with ``header``) are skipped. Every row
+    must have the first data row's width. The label column (none when
+    ``label_column`` is None) must hold an integer and every other cell a
+    finite float. A failure names its row and, for a bad cell, its column.
     """
-    examples = []
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row_num, row in enumerate(reader):
-            if header and row_num == 0:
-                continue
-            if not row:
+        for row_num, row in enumerate(csv.reader(fh)):
+            if not row or (header and row_num == 0):
                 continue
             if width is None:
                 width = len(row)
-                if not -width <= label_column < width:
+                if label_column is not None and not -width <= label_column < width:
                     raise DataFormatError(
                         f"label column {label_column} out of range for width {width}"
                     )
+                lab = None if label_column is None else label_column % width
+                cols = [c for c in range(width) if c != lab]
             elif len(row) != width:
                 raise DataFormatError(
                     f"expected {width} columns, found {len(row)}", row=row_num
                 )
-            lab_idx = label_column % width
             try:
-                label_field = row[lab_idx].strip()
-                label = int(label_field)
+                label = None if lab is None else int(row[lab])
             except ValueError:
                 raise DataFormatError(
-                    f"label {row[lab_idx]!r} is not an integer",
-                    row=row_num, column=lab_idx,
+                    f"label {row[lab]!r} is not an integer", row=row_num, column=lab
                 ) from None
-            feats = []
-            for col, field in enumerate(row):
-                if col == lab_idx:
-                    continue
-                try:
-                    feats.append(float(field))
-                except ValueError:
-                    raise DataFormatError(
-                        f"feature {field!r} is not numeric", row=row_num, column=col
-                    ) from None
-            examples.append(LabelledExample(np.array(feats), label))
-    if not examples:
+            yield label, np.array([_feature(row[c], row_num, c) for c in cols])
+    if width is None:
         raise DataFormatError(f"no data rows in {path}")
-    return examples
+
+
+def _feature(field, row, column):
+    try:
+        value = float(field)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DataFormatError(
+            f"feature {field!r} is not a finite number", row=row, column=column
+        )
+    return value
+
+
+def load_csv(path, label_column, header=False):
+    """Read labelled examples from a comma-separated file, in row order (see
+    :func:`_read_csv` for the format rules)."""
+    return [LabelledExample(feats, label)
+            for label, feats in _read_csv(path, label_column, header)]
 
 
 def save_csv(dataset, path):
@@ -173,21 +180,9 @@ def save_csv(dataset, path):
 
 
 def load_features_csv(path):
-    """Read an unlabelled feature matrix from CSV (one input per row)."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_num, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise DataFormatError("non-numeric feature", row=row_num) from None
-    if not rows:
-        raise DataFormatError(f"no data rows in {path}")
-    if len({len(r) for r in rows}) != 1:
-        raise DataFormatError("inconsistent column count")
-    return np.asarray(rows, dtype=float)
+    """Read an unlabelled feature matrix from CSV, one input per row (see
+    :func:`_read_csv` for the format rules)."""
+    return np.stack([feats for _, feats in _read_csv(path)])
 
 
 def _read_be32(fh, path, what):

@@ -108,12 +108,51 @@ class TestRunCommand:
          "model (dirichlet): lower must be an array of numbers"),
         ({"kind": "finite_hypothesis", "grid": [[0.0, 0.0]], "tables": [[[1.0, "y"]]]},
          "model (finite_hypothesis): tables must be an array of numbers"),
+        ({"kind": "dirichlet", "lower": [float("nan"), -10], "upper": [10, 10]},
+         "model (dirichlet): lower must be an array of finite numbers"),
     ])
     def test_bad_model_field_exit_2_writes_nothing(self, tmp_path, capsys, caplog,
                                                    model, message):
         path = write_config(tmp_path, model=model)
         assert main(["run", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+        assert not caplog.records
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("dim", "x", "stream.dataset.dim must be an integer"),
+        ("dim", 2.0, "stream.dataset.dim must be an integer"),
+        ("spread", "a", "stream.dataset.spread must be a number"),
+        ("box", [1, 2], "stream.dataset.box must be a number"),
+        ("label_column", "x", "stream.dataset.label_column must be an integer"),
+        ("header", "yes", "stream.dataset.header must be true or false"),
+    ])
+    def test_bad_dataset_field_exit_2_writes_nothing(self, tmp_path, capsys, caplog,
+                                                     field, value, message):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 7}.5,{i % 3}.25,{i % 4}\n" for i in range(80)))
+        if field in ("label_column", "header"):
+            dataset = {"source": "csv", "path": str(data), "label_column": -1}
+        else:
+            dataset = {"source": "blobs", "num_classes": 4, "per_class": 15}
+        dataset[field] = value
+        path = write_config(tmp_path, stream={"kind": "split", "steps": 2, "seed": 0,
+                                              "dataset": dataset})
+        assert main(["run", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not caplog.records
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_data_file_exit_2_writes_nothing(self, tmp_path, capsys, caplog):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 7}.5,{i % 3}.25,{i % 4}\n" for i in range(80))
+                        + "nan,0.5,1\n")
+        path = write_config(tmp_path, stream={"kind": "split", "steps": 2, "seed": 0,
+                                              "dataset": {"source": "csv", "path": str(data),
+                                                          "label_column": -1}})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "feature 'nan' is not a finite number (row 80, column 0)" in (
+            capsys.readouterr().err)
         assert not caplog.records
         assert not (tmp_path / "out").exists()
 
@@ -297,6 +336,45 @@ class TestScoreCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "model (dirichlet): lower must be an array of numbers" in err
+
+    @pytest.mark.parametrize("model,message", [
+        ('{"kind": "dirichlet", "lower": [NaN], "upper": [10]}',
+         "model (dirichlet): lower must be an array of finite numbers"),
+        ('{"kind": "finite_hypothesis", "grid": [[0.0], [1.0], [2.0]], '
+         '"tables": [[[0.9, 0.1], [0.8, 0.2], [NaN, 0.7]]]}',
+         "model (finite_hypothesis): tables must be an array of finite numbers"),
+        ('{"kind": "finite_hypothesis", "grid": [[0.0], [1.0], [2.0]], '
+         '"tables": [[[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]], '
+         '[[0.1, 0.9], [0.3, 0.7], [0.6, 0.4]]], "prior": [NaN, 0.5]}',
+         "model (finite_hypothesis): prior must be an array of finite numbers"),
+        ('{"kind": []}', "unknown model.kind []"),
+    ])
+    def test_bad_model_values_exit_2(self, tmp_path, capsys, model, message):
+        store, cands, targets, _ = finite_fixture_files(tmp_path)
+        assert main([
+            "score", "--model", model, "--store", str(store), "--candidates", str(cands),
+            "--targets", str(targets), "--objective", "epig",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("kind", ["forest", "dirichlet"])
+    @pytest.mark.parametrize("part,cell", [("store", "nan"), ("candidates", "inf"),
+                                           ("targets", "-inf")])
+    def test_non_finite_feature_exit_2(self, tmp_path, capsys, kind, part, cell):
+        files = dict(zip(("store", "candidates", "targets"), finite_fixture_files(tmp_path)))
+        lines = files[part].read_text().splitlines()
+        lines[1] = ",".join([cell] + lines[1].split(",")[1:])
+        files[part].write_text("\n".join(lines) + "\n")
+        assert main([
+            "score", "--model", json.dumps({"kind": kind}), "--store", str(files["store"]),
+            "--candidates", str(files["candidates"]), "--targets", str(files["targets"]),
+            "--objective", "epig",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"feature '{cell}' is not a finite number (row 1, column 0)" in err
 
     def test_model_spec_not_an_object_exit_2(self, tmp_path, capsys):
         store, cands, _, _ = finite_fixture_files(tmp_path)

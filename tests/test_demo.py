@@ -1,5 +1,7 @@
 """Two-bells heatmap demo: grid semantics and directional behaviour."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestRenderHeatmaps:
         for csv_file in [f for f in small_demo["files"] if f.endswith(".csv")]:
             grid = read_grid_csv(csv_file)
             i, j = grid.argmax_cell()
-            svg_text = open(csv_file[:-4] + ".svg", encoding="utf-8").read()
+            svg_text = Path(csv_file[:-4] + ".svg").read_text(encoding="utf-8")
             fills = {}
             for m in re.finditer(
                 r'<rect data-row="(\d+)" data-col="(\d+)"[^>]*fill="#([0-9a-f]{6})"',
@@ -135,4 +137,4 @@ class TestRenderHeatmaps:
         b = run_demo(resolution=6, num_targets=16, num_hypotheses=32, seed=3,
                      outdir=tmp_path / "b")
         for fa, fb in zip(a["files"], b["files"]):
-            assert open(fa, "rb").read() == open(fb, "rb").read()
+            assert Path(fa).read_bytes() == Path(fb).read_bytes()

@@ -156,6 +156,28 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.summary["seeds_failed"] == []
 
+    def test_class_only_in_the_holdout_is_counted(self, tmp_path):
+        rows = [f"{i % 5}.0,{c}.5,{c}" for c in range(3) for i in range(20)]
+        rows.insert(30, "9.0,9.0,3")
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = blob_config(objective={"name": "rho_loss"}, store={"m": 4},
+                          seeds=list(range(12)))
+        cfg["stream"] = {"kind": "stationary", "steps": 2, "seed": 0, "dataset": {
+            "source": "csv", "path": str(path), "label_column": -1,
+            "holdout_fraction": 0.4}}
+        config = harness.ExperimentConfig.from_dict(cfg)
+
+        def only_in_holdout(seed):
+            data = harness.prepare_data(config, seed)
+            seen = {ex.label for batch in data["schedule"] for ex in batch}
+            seen |= {ex.label for ex in data["eval_set"]}
+            return 3 not in seen and 3 in {ex.label for ex in data["holdout"]}
+
+        assert any(only_in_holdout(seed) for seed in config.seeds)  # the case occurs
+        result = run_experiment(config)
+        assert result.summary["seeds_failed"] == []
+
     @pytest.mark.parametrize("refit_every, fit_sizes", [
         # training-set size at each fit: refit slots, then the step-end fit;
         # the step-0 slot-0 fit on the empty store fails, so slot 1 refits
@@ -317,8 +339,8 @@ class TestWriteResults:
         b = write_results(run_experiment(blob_config()), tmp_path / "b")
         assert a["csv"].read_bytes() == b["csv"].read_bytes()
         assert a["svg"].read_bytes() == b["svg"].read_bytes()
-        da = json.load(open(a["json"]))
-        db = json.load(open(b["json"]))
+        da = json.loads(a["json"].read_text(encoding="utf-8"))
+        db = json.loads(b["json"].read_text(encoding="utf-8"))
         da.pop("timing"), db.pop("timing")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 

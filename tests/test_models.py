@@ -13,11 +13,14 @@ from streamsift import (
     GridLookupError,
     LabelledExample,
     PredictiveEnsemble,
+    Categorical,
+    JointCategorical,
     TrainingDivergedError,
     ValidationError,
     dirichlet_kl,
     reweight_ensemble,
 )
+from streamsift.prob import SUM_ATOL
 from streamsift.models.forest import _grow_trees
 
 
@@ -46,6 +49,49 @@ class TestPredictiveEnsemble:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValidationError):
             PredictiveEnsemble([[0.5, 0.5]], [0.9])
+
+
+# every probability array a caller can hand in, built from entries p
+PROBABILITY_INPUTS = {
+    "categorical": ([0.25, 0.75], Categorical),
+    "joint": ([[0.25, 0.25], [0.25, 0.25]], JointCategorical),
+    "ensemble rows": ([[0.25, 0.75]], lambda p: PredictiveEnsemble(p, [1.0])),
+    "ensemble weights": ([0.25, 0.75],
+                         lambda p: PredictiveEnsemble([[0.5, 0.5], [0.5, 0.5]], p)),
+    "finite tables": ([[[0.25, 0.75]]], lambda p: FiniteHypothesisModel([[0.0]], p)),
+    "finite prior": ([0.25, 0.75], lambda p: FiniteHypothesisModel(
+        [[0.0]], [[[0.5, 0.5]], [[0.5, 0.5]]], p)),
+}
+
+
+class TestProbabilityRule:
+    """One rule for every probability array: finite entries, none below
+    -SUM_ATOL, sums within SUM_ATOL of 1."""
+
+    @staticmethod
+    def build(name, entry0, moved=True):
+        """The input with its first entry set to entry0; with ``moved`` the
+        second entry takes up the change so the sum stays 1."""
+        base, build = PROBABILITY_INPUTS[name]
+        p = np.array(base, dtype=float)
+        if moved:
+            p.flat[1] += p.flat[0] - entry0
+        p.flat[0] = entry0
+        return build(p)
+
+    @pytest.mark.parametrize("name", PROBABILITY_INPUTS)
+    def test_accepts_round_off(self, name):
+        self.build(name, -0.5 * SUM_ATOL)
+        self.build(name, 0.25 + 0.5 * SUM_ATOL, moved=False)
+
+    @pytest.mark.parametrize("name", PROBABILITY_INPUTS)
+    @pytest.mark.parametrize("entry0,moved", [
+        (np.nan, True), (np.inf, True), (-np.inf, True), (-2 * SUM_ATOL, True),
+        (0.25 + 2 * SUM_ATOL, False), (0.25 - 2 * SUM_ATOL, False),
+    ])
+    def test_rejects(self, name, entry0, moved):
+        with pytest.raises(ValidationError):
+            self.build(name, entry0, moved)
 
 
 class TestReweightEnsemble:
@@ -112,11 +158,15 @@ class TestFiniteHypothesisModel:
         ("tables", [[[0.5, 0.5], [0.5, {}]]]),
         ("prior", ["a"]),
         ("grid", [[0.0], [1.0, 2.0]]),
+        ("grid", [[0.0], [np.inf]]),
+        ("tables", [[[0.5, 0.5], [np.nan, 0.5]]]),
+        ("prior", [np.nan]),
     ])
     def test_rejects_values_that_are_not_numbers(self, field, value):
         args = {"grid": [[0.0], [1.0]], "tables": [[[0.5, 0.5], [0.5, 0.5]]],
                 "prior": [1.0], field: value}
-        with pytest.raises(ValidationError, match=f"{field} must be an array of numbers"):
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be an array of (finite )?numbers"):
             FiniteHypothesisModel(args["grid"], args["tables"], args["prior"])
 
     def test_off_grid_lookup(self):
@@ -197,6 +247,15 @@ class TestDirichletHistogramClassifier:
     ])
     def test_rejects_bounds_that_are_not_numbers(self, lower, upper, field):
         with pytest.raises(ValidationError, match=f"{field} must be an array of numbers"):
+            DirichletHistogramClassifier(2, lower, upper)
+
+    @pytest.mark.parametrize("lower,upper,field", [
+        ([np.nan, -10], [10, 10], "lower"),
+        ([0, 0], [1, np.inf], "upper"),
+    ])
+    def test_rejects_bounds_that_are_not_finite(self, lower, upper, field):
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be an array of finite numbers"):
             DirichletHistogramClassifier(2, lower, upper)
 
     @pytest.mark.parametrize("num_samples", [0, -3])

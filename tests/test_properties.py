@@ -1,4 +1,5 @@
-"""Property tests: vectorized kernels against the loops they replaced."""
+"""Property tests: vectorized kernels against the loops they replaced, and
+the CSV readers on drawn matrices."""
 
 import numpy as np
 import pytest
@@ -10,18 +11,22 @@ from hypothesis import strategies as st
 
 from streamsift import (
     BootstrapForest,
+    DataFormatError,
     FiniteHypothesisModel,
     GridLookupError,
     LabelledExample,
     TargetSet,
     ValidationError,
+    load_csv,
     prob,
+    save_csv,
 )
 from streamsift.acquisition import epig_scores, la_epig_scores
 from streamsift.models import forest
 from streamsift.models.finite import GRID_ATOL
 from streamsift.prob import SUM_ATOL, ZERO_EPS, entropy_of_array
 from streamsift.rng import rng_from
+from streamsift.streams import load_features_csv
 
 OFFSETS = (0.0, 0.5 * GRID_ATOL, -0.5 * GRID_ATOL, GRID_ATOL, -GRID_ATOL,
            2 * GRID_ATOL, -2 * GRID_ATOL)
@@ -556,3 +561,71 @@ class TestMutualInformationKernel:
         targets = TargetSet(rng.normal(size=(128, 4)))
         assert np.array_equal(epig_scores(model, candidates, targets),
                               old_epig_scores(model, candidates, targets))
+
+
+# --- CSV readers -------------------------------------------------------------
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308)
+
+
+@st.composite
+def labelled_matrices(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(EDGE_FLOATS))
+    X = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    return X, y
+
+
+def write_rows(path, rows):
+    """Write rows of cell strings as CSV lines; returns ``path``."""
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    return path
+
+
+def cells_of(X):
+    return [[repr(v) for v in r] for r in X.tolist()]
+
+
+class TestCsvReaders:
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_matrices())
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, data):
+        X, y = data
+        tmp = tmp_path_factory.mktemp("csv")
+        save_csv([LabelledExample(x, lab) for x, lab in zip(X, y)], tmp / "d.csv")
+        back = load_csv(tmp / "d.csv", -1)
+        assert [ex.label for ex in back] == y
+        assert np.stack([ex.features for ex in back]).tobytes() == X.tobytes()
+        features = load_features_csv(write_rows(tmp / "f.csv", cells_of(X)))
+        assert features.shape == X.shape and features.tobytes() == X.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_matrices(), st.data(),
+           st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "x", "0x1"]))
+    def test_bad_cell_names_row_and_column(self, tmp_path_factory, data, pick, cell):
+        X, y = data
+        row = pick.draw(st.integers(0, X.shape[0] - 1))
+        col = pick.draw(st.integers(0, X.shape[1] - 1))
+        cells = cells_of(X)
+        cells[row][col] = cell
+        tmp = tmp_path_factory.mktemp("csv")
+        labelled = write_rows(tmp / "d.csv", [r + [str(lab)] for r, lab in zip(cells, y)])
+        features = write_rows(tmp / "f.csv", cells)
+        for read in (lambda: load_csv(labelled, -1), lambda: load_features_csv(features)):
+            with pytest.raises(DataFormatError) as err:
+                read()
+            assert f"(row {row}, column {col})" in str(err.value)
+            assert repr(cell) in str(err.value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(labelled_matrices(), st.data())
+    def test_short_row_names_its_row(self, tmp_path_factory, data, pick):
+        cells = cells_of(np.tile(data[0], (2, 2)))
+        row = pick.draw(st.integers(1, len(cells) - 1))  # row 0 sets the width
+        cells[row].pop()
+        with pytest.raises(DataFormatError) as err:
+            load_features_csv(write_rows(tmp_path_factory.mktemp("csv") / "f.csv", cells))
+        assert f"(row {row})" in str(err.value)
