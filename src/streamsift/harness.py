@@ -12,9 +12,8 @@ recorded as failed with ``"<Type>: <message>"``, excluded from aggregates,
 and never aborts the batch. A ``ConfigError`` that shows only once a seed's
 data exist (a split stream without 2*T classes, ``targets.M`` above the
 target pool, a quota above a batch, a model field the model rejects) is the
-configuration's fault, not the seed's, and so is a ``DataFormatError`` (a
-data file that does not parse): either propagates and the run produces no
-results.
+configuration's fault, not the seed's; so is a ``DataFormatError``. Either
+propagates and the run produces no results.
 """
 
 import json

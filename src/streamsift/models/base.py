@@ -10,7 +10,7 @@ weights let an exhaustive hypothesis enumeration share the same code path.
 import numpy as np
 
 from ..errors import DegenerateEvidenceError, ValidationError
-from ..prob import Categorical, check_probs
+from ..prob import Categorical, check_probs, float_array
 
 
 class LabelledExample:
@@ -62,26 +62,14 @@ def as_input(x):
     return x.reshape(1, -1)
 
 
-def float_array(value, name):
-    """``value`` as a float array of finite numbers; anything else raises
-    :class:`ValidationError` naming ``name``."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be an array of numbers ({exc})") from None
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name} must be an array of finite numbers")
-    return out
-
-
 class PredictiveEnsemble:
     """K per-sample conditional predictives for one input, plus weights."""
 
     __slots__ = ("conditionals", "weights")
 
     def __init__(self, conditionals, weights):
-        c = np.asarray(conditionals, dtype=float)
-        w = np.asarray(weights, dtype=float)
+        c = float_array(conditionals, "conditionals")
+        w = float_array(weights, "weights")
         if c.ndim != 2 or c.shape[1] < 2:
             raise ValidationError(f"conditionals must be KxC with C >= 2, got {c.shape}")
         if w.shape != (c.shape[0],):

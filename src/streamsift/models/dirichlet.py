@@ -9,9 +9,9 @@ posterior before and after one observation (only the touched bin changes).
 import numpy as np
 
 from ..errors import DomainError, FitError, ValidationError
-from ..prob import dirichlet_kl
+from ..prob import dirichlet_kl, float_array
 from ..rng import rng_from
-from .base import Model, as_input, as_inputs, dataset_arrays, float_array
+from .base import Model, as_input, as_inputs, dataset_arrays
 
 
 class DirichletHistogramClassifier(Model):

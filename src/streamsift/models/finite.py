@@ -9,14 +9,20 @@ predictives over that grid.
 import numpy as np
 
 from ..errors import DegenerateEvidenceError, FitError, GridLookupError, ValidationError
-from ..prob import check_probs
-from .base import Model, as_input, as_inputs, dataset_arrays, float_array
+from ..prob import check_probs, float_array
+from .base import Model, as_input, as_inputs, dataset_arrays
 
 # matching tolerance for grid lookups
 GRID_ATOL = 1e-9
 # inputs per lookup block: a block holds at most this many times G candidate
 # grid rows, even when every grid row shares the sort coordinate
 _LOOKUP_BLOCK = 256
+
+
+def _clip_round_off(p):
+    """``p`` with the round-off check_probs admits below 0 set to 0 (``p``
+    itself if it has none), so fit's renormalised products stay >= 0."""
+    return np.maximum(p, 0.0) if np.any(p < 0.0) else p
 
 
 class FiniteHypothesisModel(Model):
@@ -45,6 +51,7 @@ class FiniteHypothesisModel(Model):
         if self.tables.shape[2] < 2:
             raise ValidationError("need at least 2 classes")
         check_probs(self.tables, "tables", axis=2)
+        self.tables = _clip_round_off(self.tables)
         J = self.tables.shape[0]
         if prior_weights is None:
             prior = np.full(J, 1.0 / J)
@@ -53,8 +60,8 @@ class FiniteHypothesisModel(Model):
             if prior.shape != (J,):
                 raise ValidationError(f"prior must have shape ({J},), got {prior.shape}")
             check_probs(prior, "prior")
-        self.prior = prior
-        self.posterior = prior.copy()
+        self.prior = _clip_round_off(prior)
+        self.posterior = self.prior.copy()
         self.num_classes = self.tables.shape[2]
         self.num_samples = J
         # grid rows sorted by their first coordinate, for windowed lookups

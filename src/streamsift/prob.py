@@ -22,12 +22,22 @@ ZERO_EPS = 1e-12
 _BLOCK_BYTES = 1 << 20
 
 
+def float_array(value, name):
+    """``value`` as a float array of finite numbers, else :class:`ValidationError`
+    naming ``name``: the one finiteness check of probability and model arrays."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers ({exc})") from None
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{name} must be an array of finite numbers")
+    return out
+
+
 def check_probs(p, name, axis=None):
-    """Raise :class:`ValidationError` unless every entry of ``p`` is finite
-    and at least -``SUM_ATOL`` and every sum along ``axis`` (the whole array
-    when None) lies within ``SUM_ATOL`` of 1. Shapes are the caller's to check."""
-    if not np.all(np.isfinite(p)):
-        raise ValidationError(f"{name} entries must be finite")
+    """Raise :class:`ValidationError` unless every entry of ``p`` (finite, from
+    :func:`float_array`) is at least -``SUM_ATOL`` and every sum along ``axis`` (the
+    whole array when None) lies within ``SUM_ATOL`` of 1. Shapes are the caller's."""
     if np.any(p < -SUM_ATOL):
         raise ValidationError(f"negative {name} entry: min={p.min()}")
     off = np.abs(p.sum(axis=axis) - 1.0)
@@ -41,7 +51,7 @@ class Categorical:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
+        p = float_array(probs, "categorical")
         if p.ndim != 1 or p.shape[0] < 2:
             raise ValidationError(
                 f"categorical needs a 1-d vector with C >= 2, got shape {p.shape}"
@@ -66,7 +76,7 @@ class JointCategorical:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
+        p = float_array(probs, "joint")
         if p.ndim != 2 or p.shape[0] < 2 or p.shape[0] != p.shape[1]:
             raise ValidationError(f"joint needs a square CxC matrix, got {p.shape}")
         check_probs(p, "joint")

@@ -116,8 +116,7 @@ def stationary_stream(dataset, num_steps, seed=0):
 
 
 def _read_csv(path, label_column=None, header=False):
-    """Yield ``(label, features)`` for each data row of a CSV file, one row
-    at a time.
+    """Yield ``(label, features)`` for each data row of a CSV file as it reads it.
 
     Empty rows (and the first row, with ``header``) are skipped. Every row
     must have the first data row's width. The label column (none when

@@ -158,16 +158,43 @@ class TestFiniteHypothesisModel:
         ("tables", [[[0.5, 0.5], [0.5, {}]]]),
         ("prior", ["a"]),
         ("grid", [[0.0], [1.0, 2.0]]),
-        ("grid", [[0.0], [np.inf]]),
-        ("tables", [[[0.5, 0.5], [np.nan, 0.5]]]),
-        ("prior", [np.nan]),
     ])
     def test_rejects_values_that_are_not_numbers(self, field, value):
         args = {"grid": [[0.0], [1.0]], "tables": [[[0.5, 0.5], [0.5, 0.5]]],
                 "prior": [1.0], field: value}
-        with pytest.raises(ValidationError,
-                           match=f"{field} must be an array of (finite )?numbers"):
+        with pytest.raises(ValidationError, match=f"{field} must be an array of numbers"):
             FiniteHypothesisModel(args["grid"], args["tables"], args["prior"])
+
+    @pytest.mark.parametrize("field,value", [
+        ("grid", [[0.0], [np.inf]]),
+        ("tables", [[[0.5, 0.5], [np.nan, 0.5]]]),
+        ("prior", [np.nan]),
+    ])
+    def test_rejects_values_that_are_not_finite(self, field, value):
+        args = {"grid": [[0.0], [1.0]], "tables": [[[0.5, 0.5], [0.5, 0.5]]],
+                "prior": [1.0], field: value}
+        with pytest.raises(ValidationError,
+                           match=f"{field} must be an array of finite numbers"):
+            FiniteHypothesisModel(args["grid"], args["tables"], args["prior"])
+
+    @pytest.mark.parametrize("tables,prior", [
+        # hypothesis B's p(label 0) is round-off below 0
+        ([[[1e-9, 1 - 1e-9]], [[-0.9e-9, 1 + 0.9e-9]]], [0.5, 0.5]),
+        # hypothesis B's prior mass is round-off below 0
+        ([[[1e-9, 1 - 1e-9]], [[1.0, 0.0]]], [1 + 0.5e-9, -0.5e-9]),
+    ])
+    def test_round_off_below_zero_leaves_weights_non_negative(self, tables, prior):
+        m = FiniteHypothesisModel([[0.0]], tables, prior)
+        assert np.all(m.tables >= 0.0) and np.all(m.prior >= 0.0)
+        m.fit([ex([0.0], 0)])
+        assert np.allclose(m.sample_weights, [1.0, 0.0])
+        assert np.all(m.sample_weights >= 0.0)
+
+    def test_non_negative_tables_are_kept_as_given(self):
+        tables = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])
+        prior = np.array([0.25, 0.75])
+        m = FiniteHypothesisModel([[0.0]], tables, prior)
+        assert m.tables is tables and m.prior is prior
 
     def test_off_grid_lookup(self):
         with pytest.raises(GridLookupError):
