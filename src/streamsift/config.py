@@ -1,22 +1,22 @@
 """Run-configuration schema: validation, defaults and dotted-path overrides.
 
-Configurations are plain JSON documents. Unknown keys are rejected and every
-error message names the offending dotted field, so a failing run says what
-to fix. ``validate_config`` returns a new dict with all defaults filled in;
-that dict is what gets echoed into results files.
+Configurations are plain JSON documents. ``_CONFIG`` declares every field of
+every section once, as ``key: (default, rule)``; one walk (``_walk``) checks
+a document against it. Unknown keys are rejected and every error message
+names the offending dotted field, so a failing run says what to fix.
+``validate_config`` returns a new dict with all defaults filled in, in the
+schema's order; that dict is what gets echoed into results files.
 """
 
 import copy
 import json
 import os
+from functools import partial
 
 from .acquisition import OBJECTIVES
 from .errors import ConfigError
 
 ENV_SEED_VAR = "STREAMSIFT_SEED"
-
-TRAINING_DEFAULTS = {"lr": 0.01, "max_steps": 200, "weight_decay": 1e-4,
-                     "val_fraction": 0.1, "refit_every": 1}
 
 
 def default_seed():
@@ -30,18 +30,37 @@ def default_seed():
         raise ConfigError(f"{ENV_SEED_VAR}={raw!r} is not an integer") from None
 
 
-def _require(section, key, path):
-    if key not in section:
-        raise ConfigError(f"missing required field {path}.{key}")
-    return section[key]
+#: default of a field that a section must give
+REQUIRED = object()
+
+#: the path of the whole document; its sections are named without it
+_ROOT = "config"
 
 
-def _check_keys(section, allowed, path):
-    if not isinstance(section, dict):
+def _walk(raw, path, fields):
+    """Check the object ``raw`` against ``fields`` (``key: (default, rule)``)
+    in their order: a missing field is an error if REQUIRED, else takes a deep
+    copy of its default (called, if callable); ``rule(value, dotted_path)``
+    checks each value and returns what the echo holds. Keys outside ``fields``
+    are then rejected."""
+    if not isinstance(raw, dict):
         raise ConfigError(f"{path} must be an object")
-    for key in section:
-        if key not in allowed:
+    out = {}
+    for key, (default, rule) in fields.items():
+        if key in raw:
+            value = raw[key]
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required field {path}.{key}")
+        else:
+            value = default() if callable(default) else default
+        out[key] = rule(copy.deepcopy(value), key if path == _ROOT else f"{path}.{key}")
+    for key in raw:
+        if key not in fields:
             raise ConfigError(f"unknown field {path}.{key}")
+    return out
+
+
+# --- rules: each checks a value and returns it as given ------------------------
 
 
 def _as_int(value, path, minimum=None):
@@ -57,191 +76,171 @@ def _as_num(value, path, minimum=None):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value}")
-    return float(value)
+    return value
 
 
 def _as_bool(value, path):
     if not isinstance(value, bool):
         raise ConfigError(f"{path} must be true or false, got {value!r}")
+    return value
 
 
-def _as_int_list(value, path):
-    if not isinstance(value, list):
-        raise ConfigError(f"{path} must be a list of integers, got {value!r}")
+def _as_str(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _as_int_list(value, path, minimum=None, non_empty=False):
+    if not isinstance(value, list) or (non_empty and not value):
+        kind = "non-empty list" if non_empty else "list"
+        raise ConfigError(f"{path} must be a {kind} of integers, got {value!r}")
     for i, v in enumerate(value):
-        _as_int(v, f"{path}[{i}]")
+        _as_int(v, f"{path}[{i}]", minimum)
+    return value
 
 
-# the type check of a variant field whose default has this type; a field
-# that defaults to None is checked where it is used (a model's constructor)
-_FIELD_CHECKS = {int: _as_int, float: _as_num, bool: _as_bool, list: _as_int_list}
+def _unchecked(value, path):
+    return value
 
-#: default of a field that a section must give
-REQUIRED = object()
 
-_DATASET_DEFAULTS = {
+def _int(minimum):
+    return partial(_as_int, minimum=minimum)
+
+
+def _num(minimum):
+    return partial(_as_num, minimum=minimum)
+
+
+def _one_of(*choices):
+    def rule(value, path):
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"unknown {path} {value!r}; expected one of {list(choices)}")
+        return value
+    return rule
+
+
+def _optional(rule):
+    """``rule`` for a field that defaults to None; None itself passes."""
+    return lambda value, path: None if value is None else rule(value, path)
+
+
+def _section(fields):
+    return partial(_walk, fields=fields)
+
+
+def _variant(tag, variants):
+    """A section whose ``tag`` field, echoed first, picks its field table
+    from ``variants``."""
+    pick = (REQUIRED, _one_of(*sorted(variants)))
+
+    def rule(raw, path):
+        name = raw.get(tag) if isinstance(raw, dict) else None
+        fields = variants.get(name, {}) if isinstance(name, str) else {}
+        return _walk(raw, path, {tag: pick, **fields})
+    return rule
+
+
+# --- the schema; its order is the order of the echo ------------------------------
+
+_FRACTIONS = {"eval_fraction": (0.2, _num(0.0)), "target_fraction": (0.1, _num(0.0)),
+              "holdout_fraction": (0.0, _num(0.0))}
+
+_DATASETS = {
     "blobs": {
-        "num_classes": REQUIRED, "per_class": REQUIRED, "dim": 2, "spread": 1.0,
-        "box": 5.0, "eval_per_class": 50, "target_per_class": 20,
-        "holdout_per_class": 0,
+        "num_classes": (REQUIRED, _int(2)), "per_class": (REQUIRED, _int(1)),
+        "dim": (2, _int(1)), "spread": (1.0, _num(0.0)), "box": (5.0, _num(0.0)),
+        "eval_per_class": (50, _int(1)), "target_per_class": (20, _int(0)),
+        "holdout_per_class": (0, _int(0)),
     },
-    "csv": {
-        "path": REQUIRED, "label_column": REQUIRED, "header": False,
-        "eval_fraction": 0.2, "target_fraction": 0.1, "holdout_fraction": 0.0,
-    },
-    "idx": {
-        "images": REQUIRED, "labels": REQUIRED,
-        "eval_fraction": 0.2, "target_fraction": 0.1, "holdout_fraction": 0.0,
-    },
+    "csv": {"path": (REQUIRED, _as_str), "label_column": (REQUIRED, _as_int),
+            "header": (False, _as_bool), **_FRACTIONS},
+    "idx": {"images": (REQUIRED, _as_str), "labels": (REQUIRED, _as_str), **_FRACTIONS},
 }
 
-_MODEL_DEFAULTS = {
-    "forest": {"max_depth": 6, "min_leaf": 1, "beta": 1.0},
-    "dropout_mlp": {"hidden": [16], "dropout_rate": 0.1},
-    "dirichlet": {"bins_per_dim": 4, "alpha0": 1.0, "lower": None, "upper": None},
-    "finite_hypothesis": {"grid": REQUIRED, "tables": REQUIRED, "prior": None},
+# No bounds on model fields: each constructor checks its own values and names
+# the model. The array fields (lower, upper, grid, tables, prior) are left
+# unchecked on purpose, because prob.float_array in the constructors checks them.
+_MODELS = {
+    "forest": {"max_depth": (6, _as_int), "min_leaf": (1, _as_int), "beta": (1.0, _as_num)},
+    "dropout_mlp": {"hidden": ([16], _as_int_list), "dropout_rate": (0.1, _as_num)},
+    "dirichlet": {"bins_per_dim": (4, _as_int), "alpha0": (1.0, _as_num),
+                  "lower": (None, _unchecked), "upper": (None, _unchecked)},
+    "finite_hypothesis": {"grid": (REQUIRED, _unchecked), "tables": (REQUIRED, _unchecked),
+                          "prior": (None, _unchecked)},
 }
 
+_MODEL = _variant("kind", _MODELS)
 
-def _validate_variant(raw, tag, variants, path):
-    """Check a section whose ``tag`` field names one of ``variants``: reject
-    unknown and missing required fields and type-check each field against its
-    default. Returns a defaults-filled copy whose values are the section's own."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must be an object")
-    name = _require(raw, tag, path)
-    if not isinstance(name, str) or name not in variants:
-        raise ConfigError(
-            f"unknown {path}.{tag} {name!r}; expected one of {sorted(variants)}"
-        )
-    defaults = variants[name]
-    _check_keys(raw, set(defaults) | {tag}, path)
-    out = {tag: name}
-    for key, default in defaults.items():
-        if default is REQUIRED and key not in raw:
-            raise ConfigError(f"missing required field {path}.{key}")
-        out[key] = copy.deepcopy(raw.get(key, default))
-        check = _FIELD_CHECKS.get(type(default))
-        if check is not None:
-            check(out[key], f"{path}.{key}")
-    return out
+_TRAINING = {
+    "lr": (0.01, _num(0.0)), "max_steps": (200, _int(0)),
+    "weight_decay": (1e-4, _num(0.0)), "val_fraction": (0.1, _num(0.0)),
+    "refit_every": (1, _int(1)),
+}
 
+_CONFIG = {
+    "stream": (REQUIRED, _section({
+        "kind": (REQUIRED, _one_of("split", "permuted", "stationary")),
+        "steps": (REQUIRED, _int(1)),
+        "seed": (0, _int(0)),
+        "examples_per_step": (None, _optional(_int(1))),  # split streams only
+        "dataset": (REQUIRED, _variant("source", _DATASETS)),
+    })),
+    "model": (REQUIRED, _MODEL),
+    "objective": (REQUIRED, _section({
+        "name": (REQUIRED, _one_of(*OBJECTIVES)), "eta": (1.0, _as_num),
+    })),
+    "store": (REQUIRED, _section({
+        "strategy": ("D", _one_of("D")),  # the harness runs no other
+        "m": (REQUIRED, _int(1)),
+        "quota": (None, _optional(_int(1))),  # default m / stream.steps
+        "tau": (1, _int(1)),
+    })),
+    "targets": ({}, _section({
+        "source": ("global", _one_of("global", "seen_so_far", "fixed")),
+        "M": (64, _int(1)),
+        "path": (None, _optional(_as_str)),  # required by "fixed"
+    })),
+    "sampling": ({}, _section({"K": (20, _int(1))})),
+    "training": ({}, _section(_TRAINING)),
+    "seeds": (lambda: [default_seed()], partial(_as_int_list, minimum=0, non_empty=True)),
+    "output": ({}, _section({"dir": ("results", _as_str)})),
+}
 
-def _validate_dataset(raw):
-    out = _validate_variant(raw, "source", _DATASET_DEFAULTS, "stream.dataset")
-    if out["source"] == "blobs":
-        _as_int(out["num_classes"], "stream.dataset.num_classes", 2)
-        _as_int(out["per_class"], "stream.dataset.per_class", 1)
-    elif out["source"] == "csv":
-        _as_int(out["label_column"], "stream.dataset.label_column")
-    return out
+#: the training defaults, for a model built without a run config
+TRAINING_DEFAULTS = _walk({}, "training", _TRAINING)
 
 
 def validate_model_spec(raw):
-    """Check a model spec against its kind's fields and their default types;
-    returns a defaults-filled copy whose values are the spec's own."""
-    return _validate_variant(raw, "kind", _MODEL_DEFAULTS, "model")
+    """Check a model spec against its kind's fields; returns a
+    defaults-filled copy whose values are the spec's own."""
+    return _MODEL(raw, "model")
 
 
 def validate_config(raw):
     """Check a raw config dict and return a defaults-filled copy."""
-    _check_keys(
-        raw,
-        {"stream", "model", "objective", "store", "targets", "sampling",
-         "training", "seeds", "output"},
-        "config",
-    )
-    out = {}
-
-    stream = _require(raw, "stream", "config")
-    _check_keys(stream, {"kind", "dataset", "steps", "seed", "examples_per_step"}, "stream")
-    kind = _require(stream, "kind", "stream")
-    if kind not in ("split", "permuted", "stationary"):
-        raise ConfigError(f"unknown stream.kind {kind!r}")
-    steps = _as_int(_require(stream, "steps", "stream"), "stream.steps", 1)
-    out["stream"] = {
-        "kind": kind,
-        "steps": steps,
-        "seed": _as_int(stream.get("seed", 0), "stream.seed", 0),
-        "examples_per_step": (
-            None if stream.get("examples_per_step") is None
-            else _as_int(stream["examples_per_step"], "stream.examples_per_step", 1)
-        ),
-        "dataset": _validate_dataset(_require(stream, "dataset", "stream")),
-    }
-
-    out["model"] = validate_model_spec(_require(raw, "model", "config"))
-
-    objective = _require(raw, "objective", "config")
-    _check_keys(objective, {"name", "eta"}, "objective")
-    name = _require(objective, "name", "objective")
-    if name not in OBJECTIVES:
-        raise ConfigError(
-            f"unknown objective.name {name!r}; expected one of {OBJECTIVES}"
-        )
-    out["objective"] = {"name": name, "eta": _as_num(objective.get("eta", 1.0), "objective.eta")}
-
-    store = _require(raw, "store", "config")
-    _check_keys(store, {"strategy", "m", "quota", "tau"}, "store")
-    strategy = store.get("strategy", "D")
-    if strategy != "D":
-        raise ConfigError(f"store.strategy must be 'D' (the harness runs no other), "
-                          f"got {strategy!r}")
-    m = _as_int(_require(store, "m", "store"), "store.m", 1)
-    if "quota" in store and store["quota"] is not None:
-        quota = _as_int(store["quota"], "store.quota", 1)
-        if quota * steps > m:
-            raise ConfigError(
-                f"store.quota * stream.steps = {quota * steps} exceeds store.m = {m}"
-            )
-    else:
+    out = _walk(raw, _ROOT, _CONFIG)
+    # the rules between fields
+    stream, store = out["stream"], out["store"]
+    if stream["examples_per_step"] is not None and stream["kind"] != "split":
+        raise ConfigError("stream.examples_per_step applies only to stream.kind "
+                          f"'split', not {stream['kind']!r}")
+    if stream["dataset"]["source"] != "blobs":
+        total = sum(stream["dataset"][key] for key in _FRACTIONS)
+        if total >= 1:
+            raise ConfigError(" + ".join(f"stream.dataset.{key}" for key in _FRACTIONS)
+                              + f" = {total} must be below 1")
+    steps, m = stream["steps"], store["m"]
+    if store["quota"] is None:
         if m % steps != 0:
-            raise ConfigError(
-                f"store.m = {m} is not divisible by stream.steps = {steps}; "
-                "set store.quota explicitly"
-            )
-        quota = m // steps
-    out["store"] = {
-        "strategy": strategy, "m": m, "quota": quota,
-        "tau": _as_int(store.get("tau", 1), "store.tau", 1),
-    }
-
-    targets = raw.get("targets", {})
-    _check_keys(targets, {"source", "M", "path"}, "targets")
-    source = targets.get("source", "global")
-    if source not in ("global", "seen_so_far", "fixed"):
-        raise ConfigError(f"unknown targets.source {source!r}")
-    if source == "fixed" and not targets.get("path"):
+            raise ConfigError(f"store.m = {m} is not divisible by stream.steps = {steps}; "
+                              "set store.quota explicitly")
+        store["quota"] = m // steps
+    elif store["quota"] * steps > m:
+        raise ConfigError(f"store.quota * stream.steps = {store['quota'] * steps} "
+                          f"exceeds store.m = {m}")
+    if out["targets"]["source"] == "fixed" and not out["targets"]["path"]:
         raise ConfigError("targets.path is required when targets.source is 'fixed'")
-    out["targets"] = {
-        "source": source,
-        "M": _as_int(targets.get("M", 64), "targets.M", 1),
-        "path": targets.get("path"),
-    }
-
-    sampling = raw.get("sampling", {})
-    _check_keys(sampling, {"K"}, "sampling")
-    out["sampling"] = {"K": _as_int(sampling.get("K", 20), "sampling.K", 1)}
-
-    training = raw.get("training", {})
-    _check_keys(training, set(TRAINING_DEFAULTS), "training")
-    training = {**TRAINING_DEFAULTS, **training}
-    out["training"] = {
-        "lr": _as_num(training["lr"], "training.lr", 0.0),
-        "max_steps": _as_int(training["max_steps"], "training.max_steps", 0),
-        "weight_decay": _as_num(training["weight_decay"], "training.weight_decay", 0.0),
-        "val_fraction": _as_num(training["val_fraction"], "training.val_fraction", 0.0),
-        "refit_every": _as_int(training["refit_every"], "training.refit_every", 1),
-    }
-
-    seeds = raw.get("seeds", [default_seed()])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a non-empty list of integers")
-    out["seeds"] = [_as_int(s, f"seeds[{i}]", 0) for i, s in enumerate(seeds)]
-
-    output = raw.get("output", {})
-    _check_keys(output, {"dir"}, "output")
-    out["output"] = {"dir": str(output.get("dir", "results"))}
     return out
 
 

@@ -121,13 +121,29 @@ def _split_indices(n, fractions, rng):
     return perm[start:], pools
 
 
-def prepare_data(config, run_seed):
+def load_examples(config):
+    """The examples of a file source (csv or idx), read once per run and
+    split by each seed; None for a synthetic source. A file that cannot be
+    opened is a :class:`ConfigError` naming ``stream.dataset``."""
+    ds = config.stream["dataset"]
+    try:
+        if ds["source"] == "csv":
+            return load_csv(ds["path"], ds["label_column"], header=ds["header"])
+        if ds["source"] == "idx":
+            return load_idx(ds["images"], ds["labels"])
+    except OSError as exc:
+        raise ConfigError(f"cannot read stream.dataset: {exc}") from None
+    return None
+
+
+def prepare_data(config, run_seed, examples):
     """Build the per-seed stream schedule, eval set, target pool and holdout.
 
     Synthetic sources draw fresh data per run seed (shared class means come
-    from the same generative draw); file sources are split per run seed. The
-    objective never enters any of this, so paired comparisons across
-    objectives see identical data at equal seeds.
+    from the same generative draw); a file source's ``examples`` (see
+    :func:`load_examples`) are split per run seed. The objective never
+    enters any of this, so paired comparisons across objectives see
+    identical data at equal seeds.
     """
     ds = config.stream["dataset"]
     stream_seed = config.stream["seed"]
@@ -155,20 +171,16 @@ def prepare_data(config, run_seed):
             target_data += [members[i] for i in order[cut2:cut3]]
             holdout += [members[i] for i in order[cut3:]]
     else:
-        if ds["source"] == "csv":
-            full = load_csv(ds["path"], ds["label_column"], header=ds["header"])
-        else:
-            full = load_idx(ds["images"], ds["labels"])
         rng = rng_from(data_seed, _TAG_SPLIT)
         keep, (ev, tg, ho) = _split_indices(
-            len(full),
+            len(examples),
             [ds["eval_fraction"], ds["target_fraction"], ds["holdout_fraction"]],
             rng,
         )
-        stream_data = [full[i] for i in sorted(keep)]
-        eval_set = [full[i] for i in sorted(ev)]
-        target_data = [full[i] for i in sorted(tg)]
-        holdout = [full[i] for i in sorted(ho)]
+        stream_data = [examples[i] for i in sorted(keep)]
+        eval_set = [examples[i] for i in sorted(ev)]
+        target_data = [examples[i] for i in sorted(tg)]
+        holdout = [examples[i] for i in sorted(ho)]
 
     if not eval_set:
         raise ConfigError("evaluation set is empty; increase its share of the data")
@@ -309,13 +321,13 @@ def _score_summary(ranked):
     }
 
 
-def _run_seed(config, run_seed, timing):
+def _run_seed(config, run_seed, examples, timing):
     objective = config.objective["name"]
     eta = config.objective["eta"]
     refit_every = config.training["refit_every"]
 
     t0 = time.perf_counter()
-    data = prepare_data(config, run_seed)
+    data = prepare_data(config, run_seed, examples)
     timing["data_prep"] += time.perf_counter() - t0
 
     # the auxiliary rho_loss model bins the holdout, so its box must cover it
@@ -434,17 +446,20 @@ def run_experiment(config):
     raises ConfigError or DataFormatError when any seed finds the
     configuration or its data files unusable.
 
-    ``timing`` holds each phase's time summed over the seeds, and ``total``
-    the wall time of the whole call.
+    ``timing`` holds each phase's time summed over the seeds (``data_prep``
+    also holds the one read of a file source), and ``total`` the wall time
+    of the whole call.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
     timing = {"data_prep": 0.0, "fitting": 0.0, "scoring": 0.0, "evaluation": 0.0}
     wall = time.perf_counter()
+    examples = load_examples(config)
+    timing["data_prep"] += time.perf_counter() - wall
     per_seed = []
     for seed in config.seeds:
         try:
-            per_seed.append(_run_seed(config, seed, timing))
+            per_seed.append(_run_seed(config, seed, examples, timing))
         except (ConfigError, DataFormatError):
             raise
         except Exception as exc:  # any other fault fails this seed only

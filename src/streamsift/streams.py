@@ -120,8 +120,9 @@ def _read_csv(path, label_column=None, header=False):
 
     Empty rows (and the first row, with ``header``) are skipped. Every row
     must have the first data row's width. The label column (none when
-    ``label_column`` is None) must hold an integer and every other cell a
-    finite float. A failure names its row and, for a bad cell, its column.
+    ``label_column`` is None) must hold a non-negative integer and every
+    other cell a finite float. A failure names its row and, for a bad cell,
+    its column.
     """
     width = None
     with open(path, newline="", encoding="utf-8") as fh:
@@ -146,6 +147,8 @@ def _read_csv(path, label_column=None, header=False):
                 raise DataFormatError(
                     f"label {row[lab]!r} is not an integer", row=row_num, column=lab
                 ) from None
+            if label is not None and label < 0:
+                raise DataFormatError(f"label {label} is negative", row=row_num, column=lab)
             yield label, np.array([_feature(row[c], row_num, c) for c in cols])
     if width is None:
         raise DataFormatError(f"no data rows in {path}")

@@ -126,12 +126,32 @@ class TestRunCommand:
         ("box", [1, 2], "stream.dataset.box must be a number"),
         ("label_column", "x", "stream.dataset.label_column must be an integer"),
         ("header", "yes", "stream.dataset.header must be true or false"),
+        ("path", 5, "stream.dataset.path must be a string, got 5"),
+        ("images", 5, "stream.dataset.images must be a string, got 5"),
+        ("labels", ["l.idx"], "stream.dataset.labels must be a string, got ['l.idx']"),
+        ("dim", -1, "stream.dataset.dim must be >= 1, got -1"),
+        ("dim", 0, "stream.dataset.dim must be >= 1, got 0"),
+        ("spread", -0.5, "stream.dataset.spread must be >= 0.0, got -0.5"),
+        ("box", -1.0, "stream.dataset.box must be >= 0.0, got -1.0"),
+        ("eval_per_class", -3, "stream.dataset.eval_per_class must be >= 1, got -3"),
+        ("eval_per_class", 0, "stream.dataset.eval_per_class must be >= 1, got 0"),
+        ("target_per_class", -1, "stream.dataset.target_per_class must be >= 0, got -1"),
+        ("holdout_per_class", -1, "stream.dataset.holdout_per_class must be >= 0, got -1"),
+        ("holdout_per_class", 1.0, "stream.dataset.holdout_per_class must be an integer"),
+        ("eval_fraction", -0.1, "stream.dataset.eval_fraction must be >= 0.0, got -0.1"),
+        ("target_fraction", "x", "stream.dataset.target_fraction must be a number"),
+        ("holdout_fraction", -0.5, "stream.dataset.holdout_fraction must be >= 0.0, got -0.5"),
+        ("eval_fraction", 1.5, "stream.dataset.eval_fraction + stream.dataset.target_fraction"
+                               " + stream.dataset.holdout_fraction = 1.6 must be below 1"),
     ])
     def test_bad_dataset_field_exit_2_writes_nothing(self, tmp_path, capsys, caplog,
                                                      field, value, message):
         data = tmp_path / "data.csv"
         data.write_text("".join(f"{i % 7}.5,{i % 3}.25,{i % 4}\n" for i in range(80)))
-        if field in ("label_column", "header"):
+        if field in ("images", "labels"):
+            dataset = {"source": "idx", "images": str(tmp_path / "i.idx"),
+                       "labels": str(tmp_path / "l.idx")}
+        elif field in ("path", "label_column", "header") or field.endswith("_fraction"):
             dataset = {"source": "csv", "path": str(data), "label_column": -1}
         else:
             dataset = {"source": "blobs", "num_classes": 4, "per_class": 15}
@@ -154,6 +174,39 @@ class TestRunCommand:
         assert "feature 'nan' is not a finite number (row 80, column 0)" in (
             capsys.readouterr().err)
         assert not caplog.records
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_label_exit_2_writes_nothing(self, tmp_path, capsys, caplog):
+        data = tmp_path / "data.csv"
+        data.write_text("".join(f"{i % 7}.5,{i % 3}.25,{i % 4}\n" for i in range(80))
+                        + "3.0,0.5,-1\n")
+        path = write_config(tmp_path, stream={"kind": "split", "steps": 2, "seed": 0,
+                                              "dataset": {"source": "csv", "path": str(data),
+                                                          "label_column": -1}})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "label -1 is negative (row 80, column 2)" in capsys.readouterr().err
+        assert not caplog.records
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_data_file_exit_2_writes_nothing(self, tmp_path, capsys, caplog):
+        path = write_config(tmp_path, stream={"kind": "split", "steps": 2, "seed": 0,
+                                              "dataset": {"source": "csv",
+                                                          "path": str(tmp_path / "no.csv"),
+                                                          "label_column": -1}})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "cannot read stream.dataset" in capsys.readouterr().err
+        assert not caplog.records
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["stationary", "permuted"])
+    def test_option_that_does_nothing_exit_2_writes_nothing(self, tmp_path, capsys, kind):
+        path = write_config(tmp_path, stream={
+            "kind": kind, "steps": 2, "seed": 0, "examples_per_step": 3,
+            "dataset": {"source": "blobs", "num_classes": 4, "per_class": 15},
+        })
+        assert main(["run", "--config", str(path)]) == 2
+        assert ("stream.examples_per_step applies only to stream.kind 'split', "
+                f"not '{kind}'") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical_excluding_timing(self, tmp_path):
@@ -301,6 +354,18 @@ class TestScoreCommand:
             "score", "--model", "{not json", "--store", str(store),
             "--candidates", str(cands), "--objective", "mic",
         ]) == 2
+
+    def test_negative_store_label_exit_2(self, tmp_path, capsys):
+        _, cands, _, _ = finite_fixture_files(tmp_path)
+        store = tmp_path / "neg.csv"
+        store.write_text("0.0,1\n3.0,-1\n")
+        assert main([
+            "score", "--model", '{"kind": "forest"}', "--store", str(store),
+            "--candidates", str(cands), "--objective", "mic",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "label -1 is negative (row 1, column 1)" in err
 
     def test_bad_model_value_exit_2(self, tmp_path, capsys):
         store, cands, targets, _ = finite_fixture_files(tmp_path)

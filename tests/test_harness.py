@@ -1,6 +1,7 @@
 """Experiment driver: protocol invariants, determinism, serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,9 +168,10 @@ class TestRunExperiment:
             "source": "csv", "path": str(path), "label_column": -1,
             "holdout_fraction": 0.4}}
         config = harness.ExperimentConfig.from_dict(cfg)
+        examples = harness.load_examples(config)
 
         def only_in_holdout(seed):
-            data = harness.prepare_data(config, seed)
+            data = harness.prepare_data(config, seed, examples)
             seen = {ex.label for batch in data["schedule"] for ex in batch}
             seen |= {ex.label for ex in data["eval_set"]}
             return 3 not in seen and 3 in {ex.label for ex in data["holdout"]}
@@ -177,6 +179,25 @@ class TestRunExperiment:
         assert any(only_in_holdout(seed) for seed in config.seeds)  # the case occurs
         result = run_experiment(config)
         assert result.summary["seeds_failed"] == []
+
+    def test_dataset_file_read_once_per_run(self, tmp_path, monkeypatch):
+        rows = [f"{i % 5}.0,{c}.5,{c}" for c in range(3) for i in range(20)]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        cfg = blob_config(objective={"name": "random"}, store={"m": 4}, seeds=[0, 1, 2, 3])
+        cfg["stream"] = {"kind": "stationary", "steps": 2, "seed": 0, "dataset": {
+            "source": "csv", "path": str(path), "label_column": -1}}
+        calls = []
+        load_csv = harness.load_csv
+
+        def counting_load_csv(*args, **kwargs):
+            calls.append(args)
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_csv", counting_load_csv)
+        result = run_experiment(cfg)
+        assert result.summary["seeds_ok"] == [0, 1, 2, 3]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("refit_every, fit_sizes", [
         # training-set size at each fit: refit slots, then the step-end fit;
@@ -372,6 +393,45 @@ class TestConfigValidation:
         validated = validate_config(cfg)
         assert validated["store"]["m"] == 4
         assert validated["seeds"] == [3]
+
+    def test_example_config_echo_is_pinned(self):
+        """Field order and types of the echo: a schema edit that reorders or
+        retypes a field changes the JSON text."""
+        with open(Path(__file__).parent.parent / "run_config.example.json",
+                  encoding="utf-8") as fh:
+            validated = validate_config(json.load(fh))
+        expected = {
+            "stream": {"kind": "split", "steps": 5, "seed": 0, "examples_per_step": None,
+                       "dataset": {"source": "blobs", "num_classes": 10, "per_class": 100,
+                                   "dim": 16, "spread": 2.5, "box": 5.0,
+                                   "eval_per_class": 40, "target_per_class": 20,
+                                   "holdout_per_class": 0}},
+            "model": {"kind": "forest", "max_depth": 10, "min_leaf": 1, "beta": 0.05},
+            "objective": {"name": "epig", "eta": 1.0},
+            "store": {"strategy": "D", "m": 100, "quota": 20, "tau": 1},
+            "targets": {"source": "global", "M": 128, "path": None},
+            "sampling": {"K": 32},
+            "training": {"lr": 0.01, "max_steps": 200, "weight_decay": 0.0001,
+                         "val_fraction": 0.1, "refit_every": 1},
+            "seeds": [0, 1, 2, 3],
+            "output": {"dir": "results"},
+        }
+        assert validated == expected
+        assert json.dumps(validated) == json.dumps(expected)
+
+    @pytest.mark.parametrize("fractions", [
+        {"eval_fraction": 1.5}, {"eval_fraction": 0.5, "target_fraction": 0.5},
+        {"target_fraction": 0.3, "holdout_fraction": 0.7},
+    ])
+    def test_fractions_must_leave_a_stream(self, fractions):
+        cfg = blob_config()
+        cfg["stream"]["dataset"] = {"source": "idx", "images": "i.idx", "labels": "l.idx",
+                                    **fractions}
+        with pytest.raises(ConfigError, match=r"stream\.dataset\.eval_fraction \+ "
+                                              r"stream\.dataset\.target_fraction \+ "
+                                              r"stream\.dataset\.holdout_fraction = "
+                                              r"[\d.]+ must be below 1"):
+            validate_config(cfg)
 
     def test_defaults_filled(self):
         validated = validate_config(blob_config())

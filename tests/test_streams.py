@@ -158,6 +158,12 @@ class TestCsv:
             load_csv(path, 2)
         assert "row 0" in str(err.value)
 
+    def test_negative_label_names_location(self, tmp_path):
+        path = tmp_path / "n.csv"
+        path.write_text("0.1,0.2,1\n0.3,0.4,-1\n")
+        with pytest.raises(DataFormatError, match=r"label -1 is negative \(row 1, column 2\)"):
+            load_csv(path, 2)
+
     def test_non_numeric_feature_names_location(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("0.1,0.2,1\n0.1,oops,0\n")
