@@ -23,6 +23,7 @@ from .prob import entropy, entropy_of_array, mutual_information_of_array
 from .rng import rng_from
 
 OBJECTIVES = ("random", "mic", "epig", "la_epig", "rho_loss")
+TARGET_OBJECTIVES = ("epig", "la_epig")  # the objectives that score against targets
 
 
 class TargetSet:
@@ -185,7 +186,7 @@ def score_pool(objective, model, pool, targets=None, seed=0, eta=1.0,
         )
     if len(pool) == 0:
         raise ValidationError("candidate pool is empty")
-    if objective in ("epig", "la_epig") and targets is None:
+    if objective in TARGET_OBJECTIVES and targets is None:
         raise ValidationError(f"objective {objective!r} needs a target set")
     X, y = dataset_arrays(pool)
     target_evaluations = 0

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .acquisition import OBJECTIVES, TargetSet, score_pool
+from .acquisition import OBJECTIVES, TARGET_OBJECTIVES, TargetSet, score_pool
 from .config import (
     TRAINING_DEFAULTS,
     default_seed,
@@ -26,7 +26,7 @@ from .errors import ConfigError, DataFormatError, StreamsiftError
 from .harness import (
     ExperimentConfig,
     build_model,
-    infer_box,
+    read_file,
     run_experiment,
     write_results,
 )
@@ -107,50 +107,37 @@ def cmd_demo(args):
 
 
 def _load_model_spec(text):
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
+    try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as fh:
+                text = fh.read()
         raw = json.loads(text)
+    except (json.JSONDecodeError, OSError) as exc:
+        raise ConfigError(f"cannot read model spec: {exc}") from None
     return validate_model_spec(raw)
 
 
 def cmd_score(args):
     seed = args.seed if args.seed is not None else default_seed()
-    try:
-        spec = _load_model_spec(args.model)
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
-        raise ConfigError(f"cannot read model spec: {exc}") from None
-    store = load_csv(args.store, args.label_column, header=args.header)
-    candidates = load_csv(args.candidates, args.label_column, header=args.header)
+    spec = _load_model_spec(args.model)
+    store = read_file("--store", load_csv, args.store, args.label_column, header=args.header)
+    candidates = read_file("--candidates", load_csv, args.candidates, args.label_column,
+                           header=args.header)
 
-    targets = None
-    if args.objective in ("epig", "la_epig"):
+    targets, inputs = None, []
+    if args.objective in TARGET_OBJECTIVES:
         if args.targets is None:
             raise ConfigError(f"objective {args.objective!r} needs --targets")
-        targets = TargetSet(load_features_csv(args.targets))
+        targets = TargetSet(read_file("--targets", load_features_csv, args.targets))
+        inputs = [(args.targets, targets.inputs)]
     if args.objective == "rho_loss":
         raise ConfigError(
             "rho_loss scoring needs an auxiliary holdout model; use the run "
             "command's harness instead"
         )
 
-    num_classes = max(2, max(ex.label for ex in store + candidates) + 1)
-    num_features = store[0].features.shape[0]
-    widths = [(args.candidates, candidates[0].features.shape[0])]
-    if targets is not None:
-        widths.append((args.targets, targets.inputs.shape[1]))
-    for path, width in widths:
-        if width != num_features:
-            raise ConfigError(
-                f"{path} has {width} features per row, but the store "
-                f"{args.store} has {num_features}"
-            )
-    box_points = [ex.features for ex in store + candidates]
-    if targets is not None:
-        box_points.append(targets.inputs)
-    model = build_model(infer_box(spec, box_points), num_classes, num_features,
-                        args.sample_count, TRAINING_DEFAULTS, derive_seed(seed, 1))
+    model = build_model(spec, args.sample_count, TRAINING_DEFAULTS, derive_seed(seed, 1),
+                        {args.store: store, args.candidates: candidates}, inputs)
     model.fit(store)
     ranked = score_pool(args.objective, model, candidates, targets=targets,
                         seed=derive_seed(seed, 2), eta=args.eta)

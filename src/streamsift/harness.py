@@ -11,9 +11,9 @@ test accuracy. Seeds run in turn; a seed that raises any ``Exception``
 recorded as failed with ``"<Type>: <message>"``, excluded from aggregates,
 and never aborts the batch. A ``ConfigError`` that shows only once a seed's
 data exist (a split stream without 2*T classes, ``targets.M`` above the
-target pool, a quota above a batch, a model field the model rejects) is the
-configuration's fault, not the seed's; so is a ``DataFormatError``. Either
-propagates and the run produces no results.
+target pool, a quota above a batch, a model field the model rejects, inputs
+of another width) is the configuration's fault, not the seed's; so is a
+``DataFormatError``. Either propagates and the run produces no results.
 """
 
 import json
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import TargetSet, score_pool
+from .acquisition import TARGET_OBJECTIVES, TargetSet, score_pool
 from .config import validate_config
 from .errors import ConfigError, DataFormatError, FitError, StreamsiftError, ValidationError
 from .models import (
@@ -72,11 +72,7 @@ class ExperimentConfig:
         return cls(**validate_config(raw))
 
     def echo(self):
-        return {
-            "stream": self.stream, "model": self.model, "objective": self.objective,
-            "store": self.store, "targets": self.targets, "sampling": self.sampling,
-            "training": self.training, "seeds": self.seeds, "output": self.output,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -121,18 +117,32 @@ def _split_indices(n, fractions, rng):
     return perm[start:], pools
 
 
+def read_file(name, reader, *args, **kwargs):
+    """``reader(*args, **kwargs)``; a file it cannot open is a
+    :class:`ConfigError` naming ``name``."""
+    try:
+        return reader(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from None
+
+
 def load_examples(config):
     """The examples of a file source (csv or idx), read once per run and
-    split by each seed; None for a synthetic source. A file that cannot be
-    opened is a :class:`ConfigError` naming ``stream.dataset``."""
+    split by each seed; None for a synthetic source."""
     ds = config.stream["dataset"]
-    try:
-        if ds["source"] == "csv":
-            return load_csv(ds["path"], ds["label_column"], header=ds["header"])
-        if ds["source"] == "idx":
-            return load_idx(ds["images"], ds["labels"])
-    except OSError as exc:
-        raise ConfigError(f"cannot read stream.dataset: {exc}") from None
+    if ds["source"] == "csv":
+        return read_file("stream.dataset", load_csv, ds["path"], ds["label_column"],
+                         header=ds["header"])
+    if ds["source"] == "idx":
+        return read_file("stream.dataset", load_idx, ds["images"], ds["labels"])
+    return None
+
+
+def load_fixed_targets(config):
+    """The inputs of a ``fixed`` target file, read once per run when the
+    objective uses targets; None otherwise."""
+    if config.objective["name"] in TARGET_OBJECTIVES and config.targets["source"] == "fixed":
+        return read_file("targets.path", load_features_csv, config.targets["path"])
     return None
 
 
@@ -177,6 +187,12 @@ def prepare_data(config, run_seed, examples):
             [ds["eval_fraction"], ds["target_fraction"], ds["holdout_fraction"]],
             rng,
         )
+        if not len(keep):
+            raise ConfigError(
+                "stream.dataset.eval_fraction, stream.dataset.target_fraction and "
+                f"stream.dataset.holdout_fraction take {len(ev)}, {len(tg)} and "
+                f"{len(ho)} of the {len(examples)} rows, leaving none for the stream"
+            )
         stream_data = [examples[i] for i in sorted(keep)]
         eval_set = [examples[i] for i in sorted(ev)]
         target_data = [examples[i] for i in sorted(tg)]
@@ -197,7 +213,6 @@ def prepare_data(config, run_seed, examples):
     else:
         schedule = stationary_stream(stream_data, config.stream["steps"], seed=sched_seed)
 
-    num_classes = max(ex.label for ex in stream_data + eval_set + holdout) + 1
     target_pool = (
         np.stack([ex.features for ex in target_data]) if target_data else np.zeros((0, 0))
     )
@@ -206,26 +221,28 @@ def prepare_data(config, run_seed, examples):
         "eval_set": eval_set,
         "target_pool": target_pool,
         "holdout": holdout,
-        "num_classes": num_classes,
-        "num_features": stream_data[0].features.shape[0],
     }
 
 
-def infer_box(spec, point_sets):
-    """Fill a dirichlet spec's missing lower/upper bounds with the bounding box
-    of the rows of every array in ``point_sets``, widened by 1e-6 per side.
-    Any other spec is returned unchanged."""
-    if spec["kind"] != "dirichlet" or None not in (spec["lower"], spec["upper"]):
-        return spec
-    stacked = np.vstack([np.atleast_2d(p) for p in point_sets if np.size(p)])
-    return dict(spec, lower=(stacked.min(axis=0) - 1e-6).tolist(),
-                upper=(stacked.max(axis=0) + 1e-6).tolist())
+def build_model(spec, K, training, seed, labelled, inputs=()):
+    """Instantiate a model from its validated spec dict, set up for the data
+    it will see: ``labelled`` maps a source name to labelled examples and
+    ``inputs`` holds ``(name, array)`` pairs of unlabelled input rows.
 
-
-def build_model(spec, num_classes, num_features, K, training, seed):
-    """Instantiate a model from its validated spec dict (see :func:`infer_box`
-    for a dirichlet spec without bounds). A value the model rejects is a
-    :class:`ConfigError` naming ``model``."""
+    The class count is ``max(2, 1 + the largest label)``. The input width is
+    the first non-empty source's, and every other non-empty source must have
+    it. A dirichlet spec without lower/upper bounds gets the bounding box of
+    every source's rows, widened by 1e-6 per side. A source of another width
+    or a value the model rejects is a :class:`ConfigError`.
+    """
+    sources = [(name, [ex.features for ex in examples]) for name, examples in labelled.items()]
+    sources = [(name, rows) for name, rows in sources + list(inputs) if len(rows)]
+    num_classes = max([2] + [ex.label + 1 for examples in labelled.values() for ex in examples])
+    num_features = len(sources[0][1][0]) if sources else None
+    for name, rows in sources[1:]:
+        if len(rows[0]) != num_features:
+            raise ConfigError(f"{name} has {len(rows[0])} features per row, but "
+                              f"{sources[0][0]} has {num_features}")
     kind = spec["kind"]
     try:
         if kind == "forest":
@@ -241,12 +258,14 @@ def build_model(spec, num_classes, num_features, K, training, seed):
                 val_fraction=training["val_fraction"], num_samples=K, seed=seed,
             )
         if kind == "dirichlet":
-            if spec["lower"] is None or spec["upper"] is None:
-                raise ConfigError("dirichlet model needs explicit lower/upper bounds here")
+            lower, upper = spec["lower"], spec["upper"]
+            if lower is None or upper is None:
+                stacked = np.vstack([rows for _, rows in sources])
+                lower = (stacked.min(axis=0) - 1e-6).tolist()
+                upper = (stacked.max(axis=0) + 1e-6).tolist()
             return DirichletHistogramClassifier(
-                num_classes, spec["lower"], spec["upper"],
-                bins_per_dim=spec["bins_per_dim"], alpha0=spec["alpha0"],
-                num_samples=K, seed=seed,
+                num_classes, lower, upper, bins_per_dim=spec["bins_per_dim"],
+                alpha0=spec["alpha0"], num_samples=K, seed=seed,
             )
         if kind == "finite_hypothesis":
             return FiniteHypothesisModel(spec["grid"], spec["tables"], spec["prior"])
@@ -260,11 +279,12 @@ def build_target_set(spec, context, seed):
 
     "global" samples without replacement from the held-out unlabelled pool,
     "seen_so_far" from inputs of the current and earlier stream steps,
-    "fixed" reads a feature CSV verbatim.
+    "fixed" takes the inputs of the target file verbatim (see
+    :func:`load_fixed_targets`).
     """
     source = spec["source"]
     if source == "fixed":
-        return TargetSet(load_features_csv(spec["path"]))
+        return TargetSet(context["fixed_targets"])
     if source == "global":
         pool = context["target_pool"]
     elif source == "seen_so_far":
@@ -321,7 +341,7 @@ def _score_summary(ranked):
     }
 
 
-def _run_seed(config, run_seed, examples, timing):
+def _run_seed(config, run_seed, examples, fixed_targets, timing):
     objective = config.objective["name"]
     eta = config.objective["eta"]
     refit_every = config.training["refit_every"]
@@ -330,29 +350,22 @@ def _run_seed(config, run_seed, examples, timing):
     data = prepare_data(config, run_seed, examples)
     timing["data_prep"] += time.perf_counter() - t0
 
-    # the auxiliary rho_loss model bins the holdout, so its box must cover it
-    box_points = [ex.features for batch in data["schedule"] for ex in batch]
-    box_points += [ex.features for ex in data["eval_set"]]
-    box_points.append(data["target_pool"])
-    if objective == "rho_loss":
-        box_points += [ex.features for ex in data["holdout"]]
-    spec = infer_box(config.model, box_points)
-
+    labelled = {"stream": [ex for batch in data["schedule"] for ex in batch],
+                "evaluation": data["eval_set"], "holdout": data["holdout"]}
+    inputs = [("targets", data["target_pool"])]
+    if fixed_targets is not None:
+        inputs.append(("targets.path", fixed_targets))
     K = config.sampling["K"]
-    model = build_model(
-        spec, data["num_classes"], data["num_features"], K,
-        config.training, derive_seed(run_seed, _TAG_MODEL),
-    )
+    model = build_model(config.model, K, config.training,
+                        derive_seed(run_seed, _TAG_MODEL), labelled, inputs)
     aux_model = None
     if objective == "rho_loss":
         if not data["holdout"]:
             raise ConfigError(
                 "rho_loss needs a non-empty holdout split for the auxiliary model"
             )
-        aux_model = build_model(
-            spec, data["num_classes"], data["num_features"], K,
-            config.training, derive_seed(run_seed, _TAG_AUX),
-        )
+        aux_model = build_model(config.model, K, config.training,
+                                derive_seed(run_seed, _TAG_AUX), labelled, inputs)
         t0 = time.perf_counter()
         aux_model.fit(data["holdout"])
         timing["fitting"] += time.perf_counter() - t0
@@ -365,10 +378,11 @@ def _run_seed(config, run_seed, examples, timing):
         remaining = list(range(len(batch)))
         picked = []
         targets = None
-        if objective in ("epig", "la_epig"):
+        if objective in TARGET_OBJECTIVES:
             targets = build_target_set(
                 config.targets,
-                {"target_pool": data["target_pool"], "schedule": data["schedule"], "step": t},
+                {"target_pool": data["target_pool"], "schedule": data["schedule"],
+                 "step": t, "fixed_targets": fixed_targets},
                 derive_seed(run_seed, _TAG_TARGETS, t),
             )
         fitted, since_fit = False, 0
@@ -431,9 +445,7 @@ def _run_seed(config, run_seed, examples, timing):
         run.store_track.append({
             "step": t,
             "size": len(store),
-            "label_histogram": np.bincount(
-                labels, minlength=data["num_classes"]
-            ).tolist(),
+            "label_histogram": np.bincount(labels, minlength=model.num_classes).tolist(),
             "origin_steps": list(origins),
         })
 
@@ -447,19 +459,19 @@ def run_experiment(config):
     configuration or its data files unusable.
 
     ``timing`` holds each phase's time summed over the seeds (``data_prep``
-    also holds the one read of a file source), and ``total`` the wall time
+    also holds the one read of each data file), and ``total`` the wall time
     of the whole call.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
     timing = {"data_prep": 0.0, "fitting": 0.0, "scoring": 0.0, "evaluation": 0.0}
     wall = time.perf_counter()
-    examples = load_examples(config)
+    examples, fixed_targets = load_examples(config), load_fixed_targets(config)
     timing["data_prep"] += time.perf_counter() - wall
     per_seed = []
     for seed in config.seeds:
         try:
-            per_seed.append(_run_seed(config, seed, examples, timing))
+            per_seed.append(_run_seed(config, seed, examples, fixed_targets, timing))
         except (ConfigError, DataFormatError):
             raise
         except Exception as exc:  # any other fault fails this seed only

@@ -68,6 +68,20 @@ class TestRunCommand:
         assert "seed 0 failed" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_fractions_leaving_no_stream_rows_exit_2_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("".join(f"{i}.0,{i % 2}\n" for i in range(10)))
+        path = write_config(tmp_path, objective={"name": "random"}, stream={
+            "kind": "stationary", "steps": 2, "seed": 0, "dataset": {
+                "source": "csv", "path": str(data), "label_column": -1, "eval_fraction": 0.6,
+                "target_fraction": 0.3, "holdout_fraction": 0.1}})
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("error: stream.dataset.eval_fraction, stream.dataset.target_fraction and "
+                "stream.dataset.holdout_fraction take 6, 3 and 1 of the 10 rows, leaving "
+                "none for the stream\n") in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -475,3 +489,74 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert f"{files[part]} has {width} features per row" in err
         assert f"{files['store']} has 2" in err
+
+    @pytest.mark.parametrize("part", ["store", "candidates", "targets"])
+    def test_missing_input_file_exit_2(self, tmp_path, capsys, part):
+        files = dict(zip(("store", "candidates", "targets"), finite_fixture_files(tmp_path)))
+        files[part] = tmp_path / "missing.csv"
+        assert main([
+            "score", "--model", '{"kind": "forest"}', "--store", str(files["store"]),
+            "--candidates", str(files["candidates"]), "--targets", str(files["targets"]),
+            "--objective", "epig",
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"cannot read --{part}: [Errno 2] No such file or directory: " in err
+        assert str(files[part]) in err
+
+    def test_model_spec_path_is_a_directory_exit_2(self, tmp_path, capsys):
+        store, cands, _, _ = finite_fixture_files(tmp_path)
+        assert main([
+            "score", "--model", f"@{tmp_path}", "--store", str(store),
+            "--candidates", str(cands), "--objective", "mic",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read model spec: [Errno 21] Is a directory: " in err
+        assert str(tmp_path) in err
+
+
+def parity_files(tmp_path, case):
+    """One CSV data set as a run config and as score's store, candidates and
+    targets files, for the ``case`` the run/score parity test names."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, size=(40, 2))
+    y = np.zeros(40, int) if case == "one_class" else (X[:, 0] > 0.5).astype(int)
+    rows = [f"{a!r},{b!r},{c}\n" for (a, b), c in zip(X.tolist(), y.tolist())]
+    for name, part in (("data", rows), ("store", rows[:10]), ("cands", rows[10:20])):
+        (tmp_path / f"{name}.csv").write_text("".join(part))
+    targets = tmp_path / "targets.csv"
+    targets.write_text({"one_class": "0.5,0.5\n0.2,0.8\n",
+                        "wide_targets": "0.5,0.5,0.5\n0.2,0.8,0.1\n",
+                        "outside": "5.0,5.0\n-3.0,0.5\n"}[case])
+    model = {"kind": "dirichlet"} if case == "outside" else {"kind": "forest", "max_depth": 3}
+    config = write_config(
+        tmp_path, model=model, store={"m": 4}, sampling={"K": 4},
+        targets={"source": "fixed", "path": str(targets)},
+        stream={"kind": "stationary", "steps": 2, "seed": 0, "dataset": {
+            "source": "csv", "path": str(tmp_path / "data.csv"), "label_column": -1}},
+    )
+    run = ["run", "--config", str(config)]
+    score = ["score", "--model", json.dumps(model), "--store", str(tmp_path / "store.csv"),
+             "--candidates", str(tmp_path / "cands.csv"), "--targets", str(targets),
+             "--objective", "epig", "--sample-count", "4"]
+    return run, score, targets
+
+
+class TestRunAndScoreAgree:
+    @pytest.mark.parametrize("case,code", [
+        ("one_class", 0), ("wide_targets", 2), ("outside", 0),
+    ])
+    def test_same_outcome(self, tmp_path, capsys, case, code):
+        run, score, targets = parity_files(tmp_path, case)
+        assert main(run) == code
+        run_err = capsys.readouterr().err
+        assert main(score) == code
+        out, score_err = capsys.readouterr()
+        if code == 0:
+            assert out.startswith("index,score,rank\n")
+            assert (tmp_path / "out" / "results.csv").exists()
+        else:
+            assert out == ""
+            assert "error: targets.path has 3 features per row, but stream has 2" in run_err
+            assert f"error: {targets} has 3 features per row, but " in score_err
+            assert not (tmp_path / "out").exists()

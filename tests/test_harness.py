@@ -13,13 +13,13 @@ from streamsift import (
     run_experiment,
     write_results,
 )
-from streamsift.config import apply_overrides, validate_config
+from streamsift.config import TRAINING_DEFAULTS, apply_overrides, validate_config
 from streamsift.harness import (
     ExperimentConfig,
     _try_fit,
+    build_model,
     build_target_set,
     evaluate_accuracy,
-    infer_box,
 )
 from streamsift.models import BootstrapForest, FiniteHypothesisModel
 from streamsift.streams import StreamSchedule
@@ -199,6 +199,32 @@ class TestRunExperiment:
         assert result.summary["seeds_ok"] == [0, 1, 2, 3]
         assert len(calls) == 1
 
+    def test_fixed_targets_read_once_per_run(self, tmp_path, monkeypatch):
+        path = tmp_path / "targets.csv"
+        path.write_text("0.0,0.0\n1.0,-1.0\n2.0,3.0\n")
+        cfg = blob_config(targets={"source": "fixed", "path": str(path)}, seeds=[0, 1, 2])
+        calls = []
+        load_features_csv = harness.load_features_csv
+
+        def counting_load_features_csv(*args, **kwargs):
+            calls.append(args)
+            return load_features_csv(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_features_csv", counting_load_features_csv)
+        result = run_experiment(cfg)
+        assert result.summary["seeds_ok"] == [0, 1, 2]
+        assert len(calls) == 1
+
+    def test_objective_without_targets_never_reads_the_fixed_file(self, tmp_path):
+        cfg = blob_config(objective={"name": "mic"}, seeds=[0], targets={
+            "source": "fixed", "path": str(tmp_path / "missing.csv")})
+        assert run_experiment(cfg).summary["seeds_ok"] == [0]
+
+    def test_missing_fixed_targets_is_config_error(self, tmp_path):
+        cfg = blob_config(targets={"source": "fixed", "path": str(tmp_path / "missing.csv")})
+        with pytest.raises(ConfigError, match="^cannot read targets.path: .*missing.csv"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("refit_every, fit_sizes", [
         # training-set size at each fit: refit slots, then the step-end fit;
         # the step-0 slot-0 fit on the empty store fails, so slot 1 refits
@@ -257,20 +283,47 @@ class TestTryFit:
             _try_fit(Diverging(), [LabelledExample([0.0], 0)])
 
 
-class TestInferBox:
-    def test_covers_every_point_set(self):
-        spec = {"kind": "dirichlet", "bins_per_dim": 4, "alpha0": 1.0,
-                "lower": None, "upper": None}
-        box = infer_box(spec, [np.array([0.0, 2.0]), np.array([[1.0, -1.0], [3.0, 0.5]]),
-                               np.zeros((0, 0))])
-        assert box["lower"] == [-1e-6, -1.0 - 1e-6]
-        assert box["upper"] == [3.0 + 1e-6, 2.0 + 1e-6]
+class TestBuildModel:
+    DIRICHLET = {"kind": "dirichlet", "bins_per_dim": 4, "alpha0": 1.0,
+                 "lower": None, "upper": None}
+
+    def test_dirichlet_box_covers_every_source(self):
+        labelled = {"stream": [LabelledExample([0.0, 2.0], 0)], "evaluation": []}
+        inputs = [("pool", np.array([[1.0, -1.0], [3.0, 0.5]])), ("empty", np.zeros((0, 0)))]
+        model = build_model(self.DIRICHLET, 2, TRAINING_DEFAULTS, 0, labelled, inputs)
+        assert model.lower.tolist() == [-1e-6, -1.0 - 1e-6]
+        assert model.upper.tolist() == [3.0 + 1e-6, 2.0 + 1e-6]
 
     def test_explicit_bounds_and_other_models_unchanged(self):
-        spec = {"kind": "dirichlet", "lower": [0.0], "upper": [1.0]}
-        assert infer_box(spec, [np.array([5.0])]) is spec
-        forest = {"kind": "forest"}
-        assert infer_box(forest, [np.array([5.0])]) is forest
+        labelled = {"stream": [LabelledExample([5.0], 0)]}
+        spec = dict(self.DIRICHLET, lower=[0.0], upper=[1.0])
+        model = build_model(spec, 2, TRAINING_DEFAULTS, 0, labelled)
+        assert model.lower.tolist() == [0.0] and model.upper.tolist() == [1.0]
+        forest = build_model({"kind": "forest", "max_depth": 4, "min_leaf": 1, "beta": 1.0},
+                             2, TRAINING_DEFAULTS, 0, labelled, [("targets", [[7.0]])])
+        assert isinstance(forest, BootstrapForest)
+
+    @pytest.mark.parametrize("labels,num_classes", [
+        ([0], 2), ([], 2), ([1, 0], 2), ([0, 4], 5),
+    ])
+    def test_class_count_is_at_least_two(self, labels, num_classes):
+        labelled = {"store": [LabelledExample([0.0], labels[0])] if labels else [],
+                    "candidates": [LabelledExample([1.0], c) for c in labels[1:]]}
+        model = build_model({"kind": "forest", "max_depth": 4, "min_leaf": 1, "beta": 1.0},
+                            2, TRAINING_DEFAULTS, 0, labelled)
+        assert model.num_classes == num_classes
+
+    def test_input_width_of_the_first_source(self):
+        spec = {"kind": "dropout_mlp", "hidden": [4], "dropout_rate": 0.1}
+        labelled = {"store": [], "candidates": [LabelledExample([0.0, 1.0, 2.0], 0)]}
+        model = build_model(spec, 2, TRAINING_DEFAULTS, 0, labelled, [("t", np.zeros((2, 3)))])
+        assert model.num_features == 3
+
+    def test_source_of_another_width_is_config_error(self):
+        labelled = {"store": [LabelledExample([0.0, 1.0], 0)], "candidates": []}
+        with pytest.raises(ConfigError, match="^t.csv has 3 features per row, but store has 2$"):
+            build_model(self.DIRICHLET, 2, TRAINING_DEFAULTS, 0, labelled,
+                        [("t.csv", np.zeros((1, 3)))])
 
 
 class TestEvaluateAccuracy:
@@ -304,8 +357,10 @@ class TestBuildTargetSet:
     def test_fixed_file_in_order(self, tmp_path):
         path = tmp_path / "targets.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        ts = build_target_set({"source": "fixed", "path": str(path), "M": 2},
-                              self.context(), seed=0)
+        config = ExperimentConfig.from_dict(blob_config(
+            targets={"source": "fixed", "path": str(path), "M": 2}))
+        spec, fixed = config.targets, harness.load_fixed_targets(config)
+        ts = build_target_set(spec, dict(self.context(), fixed_targets=fixed), seed=0)
         assert np.array_equal(ts.inputs, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_global_seeded(self):
