@@ -2,15 +2,20 @@
 
 All scores are in nats (IG family) or nat-scaled log-likelihood units
 (MIC, RHO-LOSS). The estimators share one substrate: the model's weighted
-posterior-sample ensemble. Implicit updating on a candidate pair is done by
-likelihood reweighting of the sample weights, which is exact Bayes whenever
-the ensemble enumerates the hypothesis space and the standard Monte Carlo
-estimator under uniform weights.
+posterior-sample ensemble. Implicit updating on a candidate pair is
+likelihood reweighting of the sample weights (``models.base.add_one_in``),
+exact Bayes whenever the ensemble enumerates the hypothesis space and the
+standard Monte Carlo estimator under uniform weights.
 
 EPIG is computed through the plug-in joint over (candidate label, target
 label): its per-target value is the mutual information of that joint, which
 makes EPIG non-negative by construction and ties it to LA-EPIG through
 EPIG(x) = sum_c p(y=c|x) * LA-EPIG(x, c).
+
+MIC needs only the observed label's mass after the update. Sample-based
+models give it as E_w[lik^2] / E_w[lik], not as the updated weights times
+lik: the two agree in exact arithmetic, but round-off decides forest MIC
+picks among near-tied candidates, and the product form changes those picks.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateEvidenceError, ValidationError
-from .models.base import as_input, as_inputs, dataset_arrays
+from .models.base import add_one_in, as_input, as_inputs, as_labels, dataset_arrays
+from .models.dirichlet import DirichletHistogramClassifier
 from .prob import entropy, entropy_of_array, mutual_information_of_array
 from .rng import rng_from
 
@@ -47,12 +53,6 @@ class AcquisitionScore:
     value: float
 
 
-def _has_exact_update(model):
-    return hasattr(model, "exact_posterior_predictive") and hasattr(
-        model, "exact_updated_predictive"
-    )
-
-
 # --- batched kernels (return one score per candidate row) -----------------
 
 
@@ -67,57 +67,53 @@ def epig_scores(model, X, targets):
 
 def la_epig_scores(model, X, y, targets):
     """LA-EPIG for candidate pairs; degenerate candidates come back as NaN."""
+    y = as_labels(y, model.num_classes)
     cond_x, w = model.conditionals(X), model.sample_weights
-    y = np.asarray(y, dtype=int)
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     prior = np.einsum("k,mkc->mc", w, cond_t)
     h_prior = entropy_of_array(prior).mean()
 
-    lik = cond_x[np.arange(len(y)), :, y]  # (N, K)
-    evidence = lik @ w  # (N,)
-    ok = evidence > 0.0
-    w_post = np.zeros_like(lik)
-    w_post[ok] = (w * lik[ok]) / evidence[ok, None]
+    evidence, w_post = add_one_in(w, cond_x[np.arange(len(y)), :, y])
     # (N, M, C) as one BLAS matmul over the flattened (target, class) axis
     M, K, C = cond_t.shape
     updated = (w_post @ cond_t.transpose(1, 0, 2).reshape(K, M * C)).reshape(-1, M, C)
     h_post = entropy_of_array(updated).mean(axis=1)  # (N,)
     scores = h_prior - h_post
-    scores[~ok] = np.nan
+    scores[~(evidence > 0.0)] = np.nan  # the rows add_one_in left at zero
     return scores
 
 
 def mic_scores(model, X, y, eta=1.0):
     """MIC = surprise - eta * post-update NLL; NaN where evidence degenerates.
 
-    Models exposing exact conjugate updates are scored with their exact
-    predictives; sample-based models go through likelihood reweighting.
+    The Dirichlet model is scored with its exact conjugate predictives;
+    sample-based models through the second moment of the likelihood.
     """
-    y = np.asarray(y, dtype=int)
-    if _has_exact_update(model):
-        X = as_inputs(X)
-        prior_mass = np.array(
-            [model.exact_posterior_predictive(x)[c] for x, c in zip(X, y)]
-        )
-        post_mass = np.array(
-            [model.exact_updated_predictive(x, c)[c] for x, c in zip(X, y)]
-        )
+    y = as_labels(y, model.num_classes)
+    rows = np.arange(len(y))
+    if isinstance(model, DirichletHistogramClassifier):
+        # a_y / sum(a) before the update, (a_y + 1) / sum(a with a_y + 1) after
+        bins = model.bin_indices(as_inputs(X)).tolist()
+        alpha = np.array([model.concentrations(b) for b in bins]).reshape(-1, model.num_classes)
+        prior_mass = alpha[rows, y] / alpha.sum(axis=1)
+        alpha[rows, y] += 1.0
+        post_mass = alpha[rows, y] / alpha.sum(axis=1)
+        ok = prior_mass > 0.0
     else:
         cond_x, w = model.conditionals(X), model.sample_weights
-        lik = cond_x[np.arange(len(y)), :, y]  # (N, K)
+        lik = cond_x[rows, :, y]  # (N, K)
         prior_mass = lik @ w
-        post_mass = np.zeros_like(prior_mass)
         ok = prior_mass > 0.0
+        post_mass = np.zeros_like(prior_mass)
         post_mass[ok] = ((lik[ok] ** 2) @ w) / prior_mass[ok]
     scores = np.full(len(y), np.nan)
-    ok = prior_mass > 0.0
     scores[ok] = -np.log(prior_mass[ok]) + eta * np.log(post_mass[ok])
     return scores
 
 
 def rho_loss_scores(model, aux_model, X, y):
     """Model NLL minus holdout-model NLL; NaN where either mass is zero."""
-    y = np.asarray(y, dtype=int)
+    y = as_labels(y, model.num_classes)
     idx = np.arange(len(y))
     p_model = model.marginal_predict_batch(X)[idx, y]
     p_aux = aux_model.marginal_predict_batch(X)[idx, y]

@@ -112,11 +112,6 @@ class ScoreGrid:
     def cell_centers(self):
         return cell_centers(self.xmin, self.xmax, self.ymin, self.ymax, self.resolution)
 
-    def argmax_cell(self):
-        """(row, col) of the highest finite value."""
-        masked = np.where(np.isfinite(self.values), self.values, -np.inf)
-        return np.unravel_index(np.argmax(masked), self.values.shape)
-
 
 def cell_axis(lo, hi, resolution):
     """Cell-center coordinates of a uniform subdivision of [lo, hi]."""

@@ -62,6 +62,16 @@ def as_input(x):
     return x.reshape(1, -1)
 
 
+def as_labels(y, num_classes):
+    """y as an int array of class labels; every label must be an integer in
+    [0, num_classes)."""
+    y = np.asarray(y)
+    bad = ~np.isin(y, np.arange(num_classes))
+    if np.any(bad):
+        raise ValidationError(f"label {y[bad][0]} is not an integer in [0, {num_classes})")
+    return y.astype(int)
+
+
 class PredictiveEnsemble:
     """K per-sample conditional predictives for one input, plus weights."""
 
@@ -93,28 +103,42 @@ class PredictiveEnsemble:
         return Categorical(p / p.sum())
 
 
+def add_one_in(weights, lik):
+    """Implicit update of sample weights on one observation per row.
+
+    ``lik[n, k]`` is the likelihood sample k assigns to row n's observation.
+    Returns the evidence ``lik @ weights``, shape (N,), and the updated
+    weights ``weights * lik[n] / evidence[n]``, shape (N, K); rows with zero
+    evidence keep all-zero weights.
+    """
+    evidence = lik @ weights  # (N,)
+    ok = evidence > 0.0
+    w_post = np.zeros_like(lik)
+    w_post[ok] = (weights * lik[ok]) / evidence[ok, None]
+    return evidence, w_post
+
+
 def reweight_ensemble(ensemble, observed_conditionals):
-    """Add-one-in importance reweighting of an ensemble.
+    """Add-one-in importance reweighting of an ensemble (:func:`add_one_in`).
 
     ``observed_conditionals[j]`` is the likelihood the j-th sample assigns to
     an observed label at the observed input. New weights are proportional to
     ``weight_j * observed_conditionals[j]``; the conditionals are untouched.
     Positive rescaling of the likelihood vector is absorbed by normalization.
     """
-    lik = np.asarray(observed_conditionals, dtype=float)
+    lik = float_array(observed_conditionals, "likelihoods")
     if lik.shape != (ensemble.num_samples,):
         raise ValidationError(
             f"need one likelihood per sample: got {lik.shape}, K={ensemble.num_samples}"
         )
     if np.any(lik < 0):
         raise ValidationError("likelihoods must be non-negative")
-    w = ensemble.weights * lik
-    total = w.sum()
-    if total <= 0.0:
+    evidence, w_post = add_one_in(ensemble.weights, lik[None, :])
+    if evidence[0] <= 0.0:
         raise DegenerateEvidenceError(
             "observation has zero likelihood under every posterior sample"
         )
-    return PredictiveEnsemble(ensemble.conditionals, w / total)
+    return PredictiveEnsemble(ensemble.conditionals, w_post[0])
 
 
 class Model:
@@ -161,6 +185,6 @@ class Model:
         Implemented by likelihood reweighting of the sample ensemble; exact
         Bayes whenever the ensemble enumerates the hypothesis space.
         """
-        lik = self.ensemble_predict(x).conditionals[:, int(y)]
+        lik = self.ensemble_predict(x).conditionals[:, int(as_labels(y, self.num_classes))]
         updated = reweight_ensemble(self.ensemble_predict(x_star), lik)
         return updated.marginal()

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import DomainError, FitError, ValidationError
 from ..prob import dirichlet_kl, float_array
 from ..rng import rng_from
-from .base import Model, as_input, as_inputs, dataset_arrays
+from .base import Model, as_input, as_inputs, as_labels, dataset_arrays
 
 
 class DirichletHistogramClassifier(Model):
@@ -112,11 +112,12 @@ class DirichletHistogramClassifier(Model):
 
     def exact_updated_predictive(self, x, y, x_star=None):
         """Exact predictive at x_star after a conjugate update on (x, y)."""
+        y = int(as_labels(y, self.num_classes))
         b = self.bin_index(x)
         b_star = b if x_star is None else self.bin_index(x_star)
         alpha = self.concentrations(b_star).copy()
         if b_star == b:
-            alpha[int(y)] += 1.0
+            alpha[y] += 1.0
         return alpha / alpha.sum()
 
     def parameter_kl_of_update(self, x, y):
@@ -126,5 +127,5 @@ class DirichletHistogramClassifier(Model):
         """
         alpha = self.concentrations(self.bin_index(x))
         alpha_post = alpha.copy()
-        alpha_post[int(y)] += 1.0
+        alpha_post[int(as_labels(y, self.num_classes))] += 1.0
         return dirichlet_kl(alpha_post, alpha)

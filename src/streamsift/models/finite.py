@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import DegenerateEvidenceError, FitError, GridLookupError, ValidationError
 from ..prob import check_probs, float_array
-from .base import Model, as_input, as_inputs, dataset_arrays
+from .base import Model, as_inputs, dataset_arrays
 
 # matching tolerance for grid lookups
 GRID_ATOL = 1e-9
@@ -104,10 +104,6 @@ class FiniteHypothesisModel(Model):
                 f"input {X[missing[0]].tolist()} is not on the model grid"
             )
         return idx
-
-    def grid_index(self, x):
-        """Grid row of a single input."""
-        return int(self.grid_indices(as_input(x))[0])
 
     def fit(self, examples):
         """Reset to the prior, then update exactly on each example in turn."""

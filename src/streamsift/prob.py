@@ -82,14 +82,6 @@ class JointCategorical:
         check_probs(p, "joint")
         self.probs = p
 
-    def marginal_rows(self):
-        """Marginal over the first variable (sum over columns)."""
-        return Categorical(self.probs.sum(axis=1))
-
-    def marginal_cols(self):
-        """Marginal over the second variable (sum over rows)."""
-        return Categorical(self.probs.sum(axis=0))
-
 
 def entropy_of_array(p, axis=-1):
     """Shannon entropy in nats along ``axis`` of a (stacked) probability array.

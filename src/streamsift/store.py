@@ -16,8 +16,6 @@ The ledger records a per-step reading of each counter so growth rates can be
 checked against the strategies' symbolic cost formulas.
 """
 
-import numpy as np
-
 from .errors import ConfigError
 from .rng import rng_from
 
@@ -68,13 +66,6 @@ class CostLedger:
         self.selection_units.append(self._pending[1])
         self.training_units.append(self._pending[2])
         self._pending = [0.0, 0.0, 0.0]
-
-    def cumulative(self):
-        return {
-            "storage": np.cumsum(self.storage_units).tolist(),
-            "selection": np.cumsum(self.selection_units).tolist(),
-            "training": np.cumsum(self.training_units).tolist(),
-        }
 
     def as_dict(self):
         return {

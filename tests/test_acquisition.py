@@ -411,8 +411,6 @@ class TestInputRule:
                 (rho_loss(model, aux, x, y), rho_loss(model, aux, [x], y)),
             ):
                 assert np.array_equal(scalar, row)
-        if kind == "finite":
-            assert model.grid_index(2.0) == model.grid_index([2.0]) == 2
         if kind == "dirichlet":
             assert model.bin_index(2.0) == model.bin_index([2.0]) == 1
 
@@ -420,3 +418,46 @@ class TestInputRule:
         model = self.fitted("finite")
         with pytest.raises(ValidationError, match=r"scalar or 1-d, got shape \(1, 1\)"):
             model.ensemble_predict([[1.0]])
+
+
+# each scoring entry point called with label y, as (model, aux, targets, y) -> score
+LABEL_ENTRY_POINTS = {
+    "mic": lambda m, aux, t, y: mic(m, 1.0, y),
+    "la_epig": lambda m, aux, t, y: la_epig(m, 1.0, y, t),
+    "rho_loss": lambda m, aux, t, y: rho_loss(m, aux, 1.0, y),
+    "mic_scores": lambda m, aux, t, y: mic_scores(m, [0.0, 1.0], [0, y]),
+    "la_epig_scores": lambda m, aux, t, y: la_epig_scores(m, [0.0, 1.0], [0, y], t),
+    "rho_loss_scores": lambda m, aux, t, y: rho_loss_scores(m, aux, [0.0, 1.0], [0, y]),
+    "predictive_ig": lambda m, aux, t, y: predictive_ig(m, 1.0, y, 2.0),
+    "posterior_predictive_after_update":
+        lambda m, aux, t, y: m.posterior_predictive_after_update(1.0, y, 2.0),
+    # the Dirichlet model's exact conjugate quantities
+    "exact_updated_predictive": lambda m, aux, t, y: m.exact_updated_predictive(1.0, y),
+    "parameter_kl_of_update": lambda m, aux, t, y: m.parameter_kl_of_update(1.0, y),
+}
+
+
+class TestLabelRule:
+    """Every scoring entry point takes labels that are integers in [0, C)."""
+
+    @pytest.mark.parametrize("label", [-1, 2, 1.7])
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for name in LABEL_ENTRY_POINTS for kind in ("dirichlet", "finite")
+        if kind == "dirichlet" or not name.startswith(("exact", "parameter"))
+    ])
+    def test_label_outside_the_classes(self, kind, name, label):
+        model = TestInputRule().fitted(kind)
+        aux = TestInputRule().fitted("finite")
+        with pytest.raises(ValidationError,
+                           match=rf"^label {label} is not an integer in \[0, 2\)$"):
+            LABEL_ENTRY_POINTS[name](model, aux, TargetSet(TestInputRule.X), label)
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "finite"])
+    def test_integer_valued_float_labels_score_as_integers(self, kind):
+        model = TestInputRule().fitted(kind)
+        targets = TargetSet(TestInputRule.X)
+        X = TestInputRule.X
+        y = TestInputRule.y
+        assert np.array_equal(mic_scores(model, X, y), mic_scores(model, X, y.astype(float)))
+        assert np.array_equal(la_epig_scores(model, X, y, targets),
+                              la_epig_scores(model, X, y.astype(float), targets))

@@ -120,7 +120,7 @@ class TestRenderHeatmaps:
 
         for csv_file in [f for f in small_demo["files"] if f.endswith(".csv")]:
             grid = read_grid_csv(csv_file)
-            i, j = grid.argmax_cell()
+            i, j = np.unravel_index(np.nanargmax(grid.values), grid.values.shape)
             svg_text = Path(csv_file[:-4] + ".svg").read_text(encoding="utf-8")
             fills = {}
             for m in re.finditer(

@@ -1,5 +1,7 @@
 """Model contracts: ensembles, reweighting, and the four model kinds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,15 @@ class TestReweightEnsemble:
         e = PredictiveEnsemble([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         with pytest.raises(DegenerateEvidenceError):
             reweight_ensemble(e, [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_likelihood_is_named(self, bad):
+        e = PredictiveEnsemble([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="^likelihoods must be an array of finite numbers$"):
+                reweight_ensemble(e, [0.5, bad])
 
 
 class TestFiniteHypothesisModel:

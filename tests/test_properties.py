@@ -12,17 +12,22 @@ from hypothesis import strategies as st
 from streamsift import (
     BootstrapForest,
     DataFormatError,
+    DegenerateEvidenceError,
+    DirichletHistogramClassifier,
     FiniteHypothesisModel,
     GridLookupError,
     LabelledExample,
+    PredictiveEnsemble,
     TargetSet,
     ValidationError,
     load_csv,
     prob,
+    reweight_ensemble,
     save_csv,
 )
-from streamsift.acquisition import epig_scores, la_epig_scores
+from streamsift.acquisition import epig_scores, la_epig_scores, mic_scores
 from streamsift.models import forest
+from streamsift.models.base import add_one_in
 from streamsift.models.finite import GRID_ATOL
 from streamsift.prob import SUM_ATOL, ZERO_EPS, entropy_of_array
 from streamsift.rng import rng_from
@@ -63,6 +68,35 @@ def einsum_la_epig(model, X, y, targets):
     updated = np.einsum("nk,mkc->nmc", w_post, cond_t)
     scores = h_prior - entropy_of_array(updated).mean(axis=1)
     scores[~ok] = np.nan
+    return scores
+
+
+def old_la_epig_scores(model, X, y, targets):
+    """LA-EPIG with its add-one-in update written inline."""
+    cond_x, w = model.conditionals(X), model.sample_weights
+    y = np.asarray(y, dtype=int)
+    cond_t = model.conditionals(targets.inputs)
+    h_prior = entropy_of_array(np.einsum("k,mkc->mc", w, cond_t)).mean()
+    lik = cond_x[np.arange(len(y)), :, y]
+    evidence = lik @ w
+    ok = evidence > 0.0
+    w_post = np.zeros_like(lik)
+    w_post[ok] = (w * lik[ok]) / evidence[ok, None]
+    M, K, C = cond_t.shape
+    updated = (w_post @ cond_t.transpose(1, 0, 2).reshape(K, M * C)).reshape(-1, M, C)
+    scores = h_prior - entropy_of_array(updated).mean(axis=1)
+    scores[~ok] = np.nan
+    return scores
+
+
+def loop_dirichlet_mic(model, X, y, eta):
+    """Dirichlet MIC from two exact predictives per candidate row."""
+    X = np.asarray(X, dtype=float)
+    prior_mass = np.array([model.exact_posterior_predictive(x)[c] for x, c in zip(X, y)])
+    post_mass = np.array([model.exact_updated_predictive(x, c)[c] for x, c in zip(X, y)])
+    scores = np.full(len(y), np.nan)
+    ok = prior_mass > 0.0
+    scores[ok] = -np.log(prior_mass[ok]) + eta * np.log(post_mass[ok])
     return scores
 
 
@@ -265,7 +299,7 @@ def check_lookup(grid, X):
     expected = [scan_index(model.grid, x) for x in X]
     for x, g in zip(X, expected):
         if g >= 0:
-            assert model.grid_index(x) == g
+            assert model.grid_indices([x]).tolist() == [g]
     if -1 in expected:
         first = X[expected.index(-1)]
         with pytest.raises(GridLookupError) as err:
@@ -379,6 +413,7 @@ class TestLAEpigKernel:
         new = la_epig_scores(model, X, y, targets)
         old = einsum_la_epig(model, X[:, None], y, targets)
         assert np.isnan(new[0])
+        assert np.array_equal(new, old_la_epig_scores(model, X, y, targets), equal_nan=True)
         assert np.array_equal(np.isnan(new), np.isnan(old))
         ok = ~np.isnan(old)
         assert np.allclose(new[ok], old[ok], rtol=0.0, atol=1e-12)
@@ -398,6 +433,54 @@ class TestLAEpigKernel:
             assert np.array_equal(np.isnan(la), marg[:, c] == 0.0)
             mix += np.where(marg[:, c] > 0.0, marg[:, c] * np.nan_to_num(la), 0.0)
         assert np.allclose(epig_scores(model, X, targets), mix, rtol=0.0, atol=1e-12)
+
+
+# --- implicit updating -------------------------------------------------------
+
+
+class TestAddOneIn:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16))
+    def test_reweight_ensemble_matches_add_one_in(self, seed, K):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(K))
+        w[rng.uniform(size=K) < 0.3] = 0.0
+        w[0] += w.sum() == 0.0
+        w /= w.sum()
+        lik = rng.uniform(size=K)
+        lik[rng.uniform(size=K) < 0.3] = 0.0
+        ensemble = PredictiveEnsemble(rng.dirichlet(np.ones(3), size=K), w)
+        evidence, w_post = add_one_in(ensemble.weights, lik[None, :])
+        if evidence[0] > 0.0:
+            new = reweight_ensemble(ensemble, lik).weights
+            assert np.allclose(new, w_post[0], rtol=0.0, atol=1e-15)
+            # the reweighting written before add_one_in: w * lik / sum(w * lik)
+            assert np.allclose(new, w * lik / (w * lik).sum(), rtol=0.0, atol=1e-15)
+        else:
+            assert not w_post.any()
+            with pytest.raises(DegenerateEvidenceError):
+                reweight_ensemble(ensemble, lik)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 8, 9, 12, 17]),
+           st.integers(1, 2), st.integers(1, 4), st.integers(0, 200),
+           st.sampled_from([1.0, 0.5, 2.0]))
+    def test_dirichlet_mic_matches_per_row_loop(self, seed, C, dim, bins, n, eta):
+        rng = np.random.default_rng(seed)
+        model = DirichletHistogramClassifier(
+            C, np.zeros(dim), np.ones(dim), bins_per_dim=bins,
+            alpha0=float(rng.choice([1e-3, 0.5, 1.0, 3.7])), num_samples=2,
+        )
+        # squared coordinates crowd the data into the low bins, leaving others empty
+        model.fit([LabelledExample(x, int(c)) for x, c in
+                   zip(rng.uniform(size=(n, dim)) ** 2, rng.integers(0, C, size=n))])
+        N = int(rng.integers(1, 30))
+        X = rng.uniform(size=(N, dim))
+        X[rng.integers(0, N, size=N // 2)] = X[0]  # repeated rows
+        X[-1] = 1.0  # the upper box edge
+        y = rng.integers(0, C, size=N)
+        assert np.array_equal(mic_scores(model, X, y, eta=eta),
+                              loop_dirichlet_mic(model, X, y, eta))
 
 
 # --- forest split search -----------------------------------------------------
