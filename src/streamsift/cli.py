@@ -11,22 +11,16 @@ seed default when neither flags nor config give one.
 """
 
 import argparse
-import json
 import sys
 
 from .acquisition import OBJECTIVES, TARGET_OBJECTIVES, TargetSet, score_pool
-from .config import (
-    TRAINING_DEFAULTS,
-    default_seed,
-    load_config,
-    validate_model_spec,
-)
+from .config import (TRAINING_DEFAULTS, _as_dir, _as_num, _int, default_seed, load_config,
+                     read_file, read_json, validate_model_spec)
 from .demo import run_demo
 from .errors import ConfigError, DataFormatError, StreamsiftError
 from .harness import (
     ExperimentConfig,
     build_model,
-    read_file,
     run_experiment,
     write_results,
 )
@@ -36,6 +30,18 @@ from .streams import load_csv, load_features_csv
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+
+def _flag(kind, rule):
+    """An argparse ``type``: the flag's text as a ``kind``, checked by the
+    config schema's ``rule``; either failure makes argparse exit 2."""
+    def parse(text):
+        try:
+            return rule(kind(text), "value")
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return parse
 
 
 def _build_parser():
@@ -53,12 +59,12 @@ def _build_parser():
     )
 
     p_demo = sub.add_parser("demo", help="render the two-bells heatmaps")
-    p_demo.add_argument("--resolution", type=int, default=64)
-    p_demo.add_argument("--targets", type=int, default=256,
+    p_demo.add_argument("--resolution", type=_flag(int, _int(1)), default=64)
+    p_demo.add_argument("--targets", type=_flag(int, _int(1)), default=256,
                         help="number of target-input samples")
-    p_demo.add_argument("--hypotheses", type=int, default=256)
-    p_demo.add_argument("--seed", type=int, default=None)
-    p_demo.add_argument("--output-dir", default="demo_output")
+    p_demo.add_argument("--hypotheses", type=_flag(int, _int(1)), default=256)
+    p_demo.add_argument("--seed", type=_flag(int, _int(0)), default=None)
+    p_demo.add_argument("--output-dir", type=_flag(str, _as_dir), default="demo_output")
 
     p_score = sub.add_parser("score", help="rank candidates for one store")
     p_score.add_argument("--model", required=True,
@@ -66,12 +72,13 @@ def _build_parser():
     p_score.add_argument("--store", required=True, help="labelled store CSV")
     p_score.add_argument("--candidates", required=True, help="labelled candidates CSV")
     p_score.add_argument("--targets", default=None, help="feature CSV of target inputs")
-    p_score.add_argument("--objective", required=True, choices=OBJECTIVES)
-    p_score.add_argument("--eta", type=float, default=1.0)
+    p_score.add_argument("--objective", required=True,  # rho_loss needs run's holdout model
+                         choices=[o for o in OBJECTIVES if o != "rho_loss"])
+    p_score.add_argument("--eta", type=_flag(float, _as_num), default=1.0)
     p_score.add_argument("--label-column", type=int, default=-1)
     p_score.add_argument("--header", action="store_true",
                          help="store/candidate CSVs carry a header row")
-    p_score.add_argument("--seed", type=int, default=None)
+    p_score.add_argument("--seed", type=_flag(int, _int(0)), default=None)
     p_score.add_argument("--sample-count", type=int, default=20,
                          help="posterior samples K for sample-based models")
     return parser
@@ -106,20 +113,10 @@ def cmd_demo(args):
     return EXIT_OK
 
 
-def _load_model_spec(text):
-    try:
-        if text.startswith("@"):
-            with open(text[1:], encoding="utf-8") as fh:
-                text = fh.read()
-        raw = json.loads(text)
-    except (json.JSONDecodeError, OSError) as exc:
-        raise ConfigError(f"cannot read model spec: {exc}") from None
-    return validate_model_spec(raw)
-
-
 def cmd_score(args):
     seed = args.seed if args.seed is not None else default_seed()
-    spec = _load_model_spec(args.model)
+    path, text = (args.model[1:], None) if args.model.startswith("@") else (None, args.model)
+    spec = validate_model_spec(read_json("model spec", path=path, text=text))
     store = read_file("--store", load_csv, args.store, args.label_column, header=args.header)
     candidates = read_file("--candidates", load_csv, args.candidates, args.label_column,
                            header=args.header)
@@ -130,11 +127,6 @@ def cmd_score(args):
             raise ConfigError(f"objective {args.objective!r} needs --targets")
         targets = TargetSet(read_file("--targets", load_features_csv, args.targets))
         inputs = [(args.targets, targets.inputs)]
-    if args.objective == "rho_loss":
-        raise ConfigError(
-            "rho_loss scoring needs an auxiliary holdout model; use the run "
-            "command's harness instead"
-        )
 
     model = build_model(spec, args.sample_count, TRAINING_DEFAULTS, derive_seed(seed, 1),
                         {args.store: store, args.candidates: candidates}, inputs)

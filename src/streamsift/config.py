@@ -10,8 +10,10 @@ schema's order; that dict is what gets echoed into results files.
 
 import copy
 import json
+import math
 import os
 from functools import partial
+from pathlib import Path
 
 from .acquisition import OBJECTIVES
 from .errors import ConfigError
@@ -21,13 +23,30 @@ ENV_SEED_VAR = "STREAMSIFT_SEED"
 
 def default_seed():
     """Last-resort global seed: the STREAMSIFT_SEED env var, else 0."""
-    raw = os.environ.get(ENV_SEED_VAR)
-    if raw is None:
-        return 0
+    raw = os.environ.get(ENV_SEED_VAR, "0")
     try:
-        return int(raw)
+        return _as_int(int(raw), ENV_SEED_VAR, minimum=0)
     except ValueError:
         raise ConfigError(f"{ENV_SEED_VAR}={raw!r} is not an integer") from None
+
+
+def read_file(name, reader, *args, **kwargs):
+    """``reader(*args, **kwargs)``; a file it cannot open or decode is a
+    :class:`ConfigError` naming ``name``."""
+    try:
+        return reader(*args, **kwargs)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from None
+
+
+def read_json(name, path=None, text=None):
+    """The JSON document in the file ``path``, or in ``text``, read by the one file rule."""
+    if path is not None:
+        text = read_file(name, Path(path).read_text, encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name} is not valid JSON: {exc}") from None
 
 
 #: default of a field that a section must give
@@ -74,6 +93,8 @@ def _as_int(value, path, minimum=None):
 def _as_num(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON's NaN and Infinity
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {value}")
     return value
@@ -88,6 +109,12 @@ def _as_bool(value, path):
 def _as_str(value, path):
     if not isinstance(value, str):
         raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _as_dir(value, path):
+    if os.path.exists(_as_str(value, path)) and not os.path.isdir(value):
+        raise ConfigError(f"{path} {value!r} exists and is not a directory")
     return value
 
 
@@ -204,7 +231,7 @@ _CONFIG = {
     "sampling": ({}, _section({"K": (20, _int(1))})),
     "training": ({}, _section(_TRAINING)),
     "seeds": (lambda: [default_seed()], partial(_as_int_list, minimum=0, non_empty=True)),
-    "output": ({}, _section({"dir": ("results", _as_str)})),
+    "output": ({}, _section({"dir": ("results", _as_dir)})),
 }
 
 #: the training defaults, for a model built without a run config
@@ -246,6 +273,8 @@ def validate_config(raw):
 
 def apply_overrides(raw, overrides):
     """Apply ``dotted.path=json-value`` overrides to a raw config dict."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{_ROOT} must be an object")
     out = copy.deepcopy(raw)
     for item in overrides:
         if "=" not in item:
@@ -269,13 +298,7 @@ def apply_overrides(raw, overrides):
 
 def load_config(path, overrides=()):
     """Read, override and validate a config file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    raw = read_json("--config", path)
     if overrides:
         raw = apply_overrides(raw, overrides)
     return validate_config(raw)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import TARGET_OBJECTIVES, TargetSet, score_pool
-from .config import validate_config
+from .config import read_file, validate_config
 from .errors import ConfigError, DataFormatError, FitError, StreamsiftError, ValidationError
 from .models import (
     BootstrapForest,
@@ -115,15 +115,6 @@ def _split_indices(n, fractions, rng):
         pools.append(perm[start:start + c])
         start += c
     return perm[start:], pools
-
-
-def read_file(name, reader, *args, **kwargs):
-    """``reader(*args, **kwargs)``; a file it cannot open is a
-    :class:`ConfigError` naming ``name``."""
-    try:
-        return reader(*args, **kwargs)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {name}: {exc}") from None
 
 
 def load_examples(config):

@@ -7,6 +7,7 @@ realizes. All generators are deterministic given (dataset, seed).
 
 import csv
 import math
+import os
 import struct
 
 import numpy as np
@@ -210,7 +211,7 @@ def load_idx(images_path, labels_path):
         count = _read_be32(fh, images_path, "header")
         rows = _read_be32(fh, images_path, "header")
         cols = _read_be32(fh, images_path, "header")
-        payload = fh.read(count * rows * cols)
+        payload = fh.read(min(count * rows * cols, os.fstat(fh.fileno()).st_size))
         if len(payload) != count * rows * cols:
             raise DataFormatError(
                 f"truncated pixel data in {images_path}: expected "
@@ -226,7 +227,7 @@ def load_idx(images_path, labels_path):
                 f"expected 0x{IDX_LABEL_MAGIC:08x}"
             )
         label_count = _read_be32(fh, labels_path, "header")
-        payload = fh.read(label_count)
+        payload = fh.read(min(label_count, os.fstat(fh.fileno()).st_size))
         if len(payload) != label_count:
             raise DataFormatError(f"truncated label data in {labels_path}")
         labels = np.frombuffer(payload, dtype=np.uint8)

@@ -1,5 +1,7 @@
 """Shared test set-up: a deterministic hypothesis profile and MNIST-shaped data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,16 @@ else:
     # the same examples on every run, so two runs of the suite compare alike
     settings.register_profile("deterministic", derandomize=True)
     settings.load_profile("deterministic")
+    # hypothesis's pytest plugin imports this module only to report a failing
+    # example; importing it warns DeprecationWarning (from mypy_extensions),
+    # which filterwarnings = ["error"] would turn into a pytest INTERNALERROR
+    # that hides the falsifying example. Import it here, with that warning off.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:
+            pass
 
 
 @pytest.fixture

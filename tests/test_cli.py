@@ -1,6 +1,7 @@
 """CLI exit codes, file outputs, and determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -560,3 +561,109 @@ class TestRunAndScoreAgree:
             assert "error: targets.path has 3 features per row, but stream has 2" in run_err
             assert f"error: {targets} has 3 features per row, but " in score_err
             assert not (tmp_path / "out").exists()
+
+
+def bad_input(tmp_path, case):
+    """``(argv, environment, message)`` for one outside input that must exit 2;
+    the message names the flag, field, file or variable at fault. Every case
+    writes to ``tmp_path / "out"`` if it writes at all."""
+    store, cands, _, _ = finite_fixture_files(tmp_path)
+    config = write_config(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    run = ["run", "--config", str(config)]
+    demo = ["demo", "--resolution", "4", "--targets", "8", "--hypotheses", "16",
+            "--output-dir", str(tmp_path / "out")]
+    score = ["score", "--model", '{"kind": "forest"}', "--store", str(store),
+             "--candidates", str(cands), "--objective", "mic"]
+    if case == "config_is_a_directory":
+        return ["run", "--config", str(tmp_path)], {}, "cannot read --config: [Errno 21]"
+    if case == "config_not_utf8":
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{}\n")
+        return (["run", "--config", str(tmp_path / "bad.json")], {},
+                "cannot read --config: 'utf-8' codec can't decode")
+    if case == "store_not_utf8":
+        store.write_bytes(b"\xff\xfe,1\n")
+        return score, {}, "cannot read --store: 'utf-8' codec can't decode"
+    if case.startswith("demo_"):  # demo_<flag>_<value>
+        _, name, value = case.split("_")
+        minimum = 0 if name == "seed" else 1
+        return (demo + [f"--{name}", value], {},
+                f"argument --{name}: value must be >= {minimum}, got {value}")
+    if case == "score_seed_-1":
+        return score + ["--seed", "-1"], {}, "argument --seed: value must be >= 0, got -1"
+    if case == "env_seed_-3":
+        return demo, {"STREAMSIFT_SEED": "-3"}, "STREAMSIFT_SEED must be >= 0, got -3"
+    if case == "score_eta_nan":
+        return (score + ["--eta", "nan"], {},
+                "argument --eta: value must be a finite number, got nan")
+    if case == "override_eta_nan":
+        return (run + ["--override", "objective.name=mic", "--override", "objective.eta=NaN"],
+                {}, "objective.eta must be a finite number, got nan")
+    if case == "override_spread_infinity":
+        return (run + ["--override", "stream.dataset.spread=Infinity"], {},
+                "stream.dataset.spread must be a finite number, got inf")
+    if case == "idx_header_overflow":
+        images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3))
+        labels.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
+        config = write_config(tmp_path, "idx.json", stream={
+            "kind": "stationary", "steps": 2, "seed": 0,
+            "dataset": {"source": "idx", "images": str(images), "labels": str(labels)}})
+        return ["run", "--config", str(config)], {}, f"truncated pixel data in {images}"
+    if case == "score_rho_loss":
+        return (score[:-1] + ["rho_loss"], {},
+                "argument --objective: invalid choice: 'rho_loss'")
+    if case == "override_on_a_list":
+        (tmp_path / "list.json").write_text("[]\n")
+        return (["run", "--config", str(tmp_path / "list.json"), "--override", "seeds=[0]"],
+                {}, "error: config must be an object")
+    if case == "file_as_demo_output_dir":
+        return (demo + ["--output-dir", str(afile)], {},
+                f"argument --output-dir: value '{afile}' exists and is not a directory")
+    if case == "file_as_run_output_dir":
+        return (run + ["--override", f"output.dir={afile}"], {},
+                f"output.dir '{afile}' exists and is not a directory")
+    raise AssertionError(case)
+
+
+BAD_INPUTS = [
+    "config_is_a_directory", "config_not_utf8", "store_not_utf8",
+    "demo_resolution_0", "demo_resolution_-2", "demo_hypotheses_0", "demo_targets_0",
+    "demo_seed_-1", "score_seed_-1", "env_seed_-3", "score_eta_nan", "override_eta_nan",
+    "override_spread_infinity", "idx_header_overflow", "score_rho_loss",
+    "override_on_a_list", "file_as_demo_output_dir", "file_as_run_output_dir",
+]
+
+
+class TestOutsideInputs:
+    """Every outside input the program cannot use exits 2 before any work,
+    with a message naming what to fix and no traceback."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_exit_2_names_the_input(self, tmp_path, capsys, monkeypatch, case):
+        argv, env, message = bad_input(tmp_path, case)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(harness, "_run_seed", lambda *a: pytest.fail("a seed ran"))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_score_lists_the_objectives_it_runs(self, tmp_path, capsys):
+        store, cands, _, _ = finite_fixture_files(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--model", '{"kind": "forest"}', "--store", str(store),
+                  "--candidates", str(cands), "--objective", "rho_loss"])
+        assert exc.value.code == 2
+        choices = capsys.readouterr().err.partition("choose from")[2]
+        for name in ("random", "mic", "epig", "la_epig"):
+            assert name in choices
+        assert "rho_loss" not in choices

@@ -250,6 +250,17 @@ class TestIdx:
             load_idx(ipath, lpath)
         assert "truncated" in str(err.value)
 
+    @pytest.mark.parametrize("part,header,message", [
+        ("images", (0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), "truncated pixel data in"),
+        ("labels", (0x801, 0xFFFFFFFF), "truncated label data in"),
+    ])
+    def test_header_sizes_beyond_the_file(self, tmp_path, part, header, message):
+        # the sizes the header declares are bounded by the file's own size
+        paths = dict(zip(("images", "labels"), write_idx_pair(tmp_path, [[[0, 0]]], [1])))
+        paths[part].write_bytes(struct.pack(f">{len(header)}I", *header) + b"\x00")
+        with pytest.raises(DataFormatError, match=message):
+            load_idx(paths["images"], paths["labels"])
+
     def test_canonical_mnist_if_present(self):
         import os
 
