@@ -113,8 +113,12 @@ def _as_str(value, path):
 
 
 def _as_dir(value, path):
-    if os.path.exists(_as_str(value, path)) and not os.path.isdir(value):
-        raise ConfigError(f"{path} {value!r} exists and is not a directory")
+    ancestor = os.path.abspath(_as_str(value, path))
+    while not os.path.exists(ancestor):  # up to the one mkdir needs to be a directory
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        where = "" if ancestor == os.path.abspath(value) else f" is under {ancestor!r}, which"
+        raise ConfigError(f"{path} {value!r}{where} exists and is not a directory")
     return value
 
 

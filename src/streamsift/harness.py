@@ -19,6 +19,7 @@ of another width) is the configuration's fault, not the seed's; so is a
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -332,14 +333,21 @@ def _score_summary(ranked):
     }
 
 
+@contextmanager
+def _timed(timing, phase):
+    """Add the wall time of the ``with`` body to ``timing[phase]``."""
+    t0 = time.perf_counter()
+    yield
+    timing[phase] += time.perf_counter() - t0
+
+
 def _run_seed(config, run_seed, examples, fixed_targets, timing):
     objective = config.objective["name"]
     eta = config.objective["eta"]
     refit_every = config.training["refit_every"]
 
-    t0 = time.perf_counter()
-    data = prepare_data(config, run_seed, examples)
-    timing["data_prep"] += time.perf_counter() - t0
+    with _timed(timing, "data_prep"):
+        data = prepare_data(config, run_seed, examples)
 
     labelled = {"stream": [ex for batch in data["schedule"] for ex in batch],
                 "evaluation": data["eval_set"], "holdout": data["holdout"]}
@@ -357,9 +365,8 @@ def _run_seed(config, run_seed, examples, fixed_targets, timing):
             )
         aux_model = build_model(config.model, K, config.training,
                                 derive_seed(run_seed, _TAG_AUX), labelled, inputs)
-        t0 = time.perf_counter()
-        aux_model.fit(data["holdout"])
-        timing["fitting"] += time.perf_counter() - t0
+        with _timed(timing, "fitting"):
+            aux_model.fit(data["holdout"])
 
     run = SeedRun(seed=run_seed)
 
@@ -380,30 +387,20 @@ def _run_seed(config, run_seed, examples, fixed_targets, timing):
         for slot in range(quota):
             candidates = [batch[i] for i in remaining]
             diag = {}
-            cold_start = False
             sel_seed = derive_seed(run_seed, _TAG_SELECT, t, slot)
-            if objective == "random":
+            if objective != "random" and (not fitted or since_fit >= refit_every):
+                with _timed(timing, "fitting"):
+                    fitted = _try_fit(model, store.examples + [batch[i] for i in picked])
+                since_fit = 0
+            cold_start = objective != "random" and not fitted
+            if fitted:
+                with _timed(timing, "scoring"):
+                    ranked = score_pool(objective, model, candidates, targets=targets,
+                                        seed=sel_seed, eta=eta, aux_model=aux_model,
+                                        diagnostics=diag)
+            else:  # the random objective, or an empty store the model cannot fit
                 ranked = score_pool("random", None, candidates, seed=sel_seed,
                                     diagnostics=diag)
-            else:
-                if not fitted or since_fit >= refit_every:
-                    t0 = time.perf_counter()
-                    fitted = _try_fit(model, store.examples + [batch[i] for i in picked])
-                    timing["fitting"] += time.perf_counter() - t0
-                    since_fit = 0
-                if fitted:
-                    t0 = time.perf_counter()
-                    ranked = score_pool(
-                        objective, model, candidates, targets=targets,
-                        seed=sel_seed, eta=eta, aux_model=aux_model,
-                        diagnostics=diag,
-                    )
-                    timing["scoring"] += time.perf_counter() - t0
-                else:
-                    # empty store and a model that cannot fit it: seeded random
-                    cold_start = True
-                    ranked = score_pool("random", None, candidates, seed=sel_seed,
-                                        diagnostics=diag)
             chosen = remaining.pop(ranked[0].candidate_index)
             picked.append(chosen)
             since_fit += 1
@@ -424,12 +421,10 @@ def _run_seed(config, run_seed, examples, fixed_targets, timing):
     steps = strategy_steps("D", data["schedule"], select, config.store["quota"],
                            ledger, tau=config.store["tau"])
     for t, store in enumerate(steps):
-        t0 = time.perf_counter()
-        model.fit(store.examples)
-        timing["fitting"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        run.accuracies.append(evaluate_accuracy(model, data["eval_set"]))
-        timing["evaluation"] += time.perf_counter() - t0
+        with _timed(timing, "fitting"):
+            model.fit(store.examples)
+        with _timed(timing, "evaluation"):
+            run.accuracies.append(evaluate_accuracy(model, data["eval_set"]))
 
         origins += [t] * (len(store) - len(origins))
         labels = [ex.label for ex in store.examples]
@@ -457,8 +452,8 @@ def run_experiment(config):
         config = ExperimentConfig.from_dict(config)
     timing = {"data_prep": 0.0, "fitting": 0.0, "scoring": 0.0, "evaluation": 0.0}
     wall = time.perf_counter()
-    examples, fixed_targets = load_examples(config), load_fixed_targets(config)
-    timing["data_prep"] += time.perf_counter() - wall
+    with _timed(timing, "data_prep"):
+        examples, fixed_targets = load_examples(config), load_fixed_targets(config)
     per_seed = []
     for seed in config.seeds:
         try:
@@ -473,31 +468,25 @@ def run_experiment(config):
     timing["total"] = time.perf_counter() - wall
 
     ok = [r for r in per_seed if r.status == "ok"]
-    steps = config.stream["steps"]
+    summary = {
+        "seeds_ok": [r.seed for r in ok],
+        "seeds_failed": [r.seed for r in per_seed if r.status == "failed"],
+        "per_step_mean_accuracy": [],
+        "per_step_stderr": [],
+        "mean_final_accuracy": None,
+        "stderr_final_accuracy": None,
+    }
     if ok:
         acc = np.array([r.accuracies for r in ok])
         mean = acc.mean(axis=0)
         stderr = (
             acc.std(axis=0, ddof=1) / np.sqrt(len(ok)) if len(ok) > 1
-            else np.zeros(steps)
+            else np.zeros(config.stream["steps"])
         )
-        summary = {
-            "seeds_ok": [r.seed for r in ok],
-            "seeds_failed": [r.seed for r in per_seed if r.status == "failed"],
-            "per_step_mean_accuracy": mean.tolist(),
-            "per_step_stderr": stderr.tolist(),
-            "mean_final_accuracy": float(mean[-1]),
-            "stderr_final_accuracy": float(stderr[-1]),
-        }
-    else:
-        summary = {
-            "seeds_ok": [],
-            "seeds_failed": [r.seed for r in per_seed],
-            "per_step_mean_accuracy": [],
-            "per_step_stderr": [],
-            "mean_final_accuracy": None,
-            "stderr_final_accuracy": None,
-        }
+        summary.update(
+            per_step_mean_accuracy=mean.tolist(), per_step_stderr=stderr.tolist(),
+            mean_final_accuracy=float(mean[-1]), stderr_final_accuracy=float(stderr[-1]),
+        )
     return ExperimentResult(
         config=config.echo(), per_seed=per_seed, summary=summary, timing=timing
     )

@@ -29,7 +29,15 @@ sum of the pieces, restarted at each segment start, gives the counts left of
 every cell. The Gini expression then runs on C-contiguous (cells, C) counts,
 so each score has the bits a per-node search gives it. Finally each tree's
 nodes are numbered in preorder (node, left subtree, right subtree).
+
+Prediction: the forest keeps all K trees' nodes in one set of packed
+arrays, tree after tree, with each tree's root offset; a child index counts
+from its own tree's root, so each tree's slice is that tree on its own. One
+walk moves every (tree, input) pair down at once, from its tree's root until
+all of them sit at leaves, and gathers their leaf distributions as (K, N, C).
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -52,30 +60,10 @@ def _gini(counts, n):
     return 1.0 - p.sum(axis=-1)
 
 
-class _Tree:
-    """Array-backed binary decision tree for class-distribution prediction.
-
-    Node 0 is the root; a leaf has ``feature`` -1 and children -1, an inner
-    node sends ``x[feature] <= threshold`` to ``left``. ``dist`` holds each
-    leaf's class distribution (zeros at inner nodes)."""
-
-    def __init__(self, feature, threshold, left, right, dist):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.dist = dist
-
-    def predict_dist(self, X):
-        """Leaf class distributions for a batch, shape (N, C)."""
-        node = np.zeros(len(X), dtype=int)
-        active = self.feature[node] >= 0
-        while np.any(active):
-            idx = node[active]
-            go_left = X[active, self.feature[idx]] <= self.threshold[idx]
-            node[active] = np.where(go_left, self.left[idx], self.right[idx])
-            active = self.feature[node] >= 0
-        return self.dist[node]
+# one tree's nodes, or many trees' packed end to end: a leaf has feature -1 and
+# children -1, an inner node sends x[feature] <= threshold to left, children
+# count from their tree's root, and dist holds each leaf's class distribution
+Nodes = namedtuple("Nodes", "feature threshold left right dist")
 
 
 def _best_splits(xt, y, order, start, size, node_of, can_split, total, min_leaf):
@@ -188,9 +176,10 @@ def _grow_block(XT, y, boots, num_classes, max_depth, min_leaf, beta):
 
 
 def _number_preorder(levels, num_classes):
-    """Trees from per-level node records, each numbered in preorder. The S
-    splits of a level have their left children at positions 0..S-1 of the
-    next level and their right children at S..2S-1."""
+    """A block's packed ``Nodes``, each tree numbered in preorder, and each
+    tree's root, from per-level node records. The S splits of a level have
+    their left children at positions 0..S-1 of the next level and their right
+    children at S..2S-1."""
     sub = [None] * len(levels)  # subtree sizes
     below = None
     for i in range(len(levels) - 1, -1, -1):
@@ -219,23 +208,37 @@ def _number_preorder(levels, num_classes):
             left[pre[split]] = nxt[:S] - offset[tree[split]]
             right[pre[split]] = nxt[S:] - offset[tree[split]]
             pre = nxt
-    ends = offset[1:]
-    return [_Tree(*parts) for parts in zip(
-        *(np.split(a, ends) for a in (feature, threshold, left, right, dist))
-    )]
+    return Nodes(feature, threshold, left, right, dist), offset
 
 
 def _grow_trees(X, y, boots, num_classes, max_depth, min_leaf, beta):
-    """One tree per bootstrap index row of ``boots`` (shape (K, n)) over the
-    rows of ``X`` (shape (N, d)) and labels ``y``."""
+    """Packed ``Nodes`` of one tree per bootstrap index row of ``boots``
+    (shape (K, n)) over the rows of ``X`` (shape (N, d)) and labels ``y``,
+    and each tree's root."""
     K, n = boots.shape
     XT = np.ascontiguousarray(X.T)
     per_block = max(1, _BLOCK_CELLS // max(1, XT.shape[0] * n))
-    trees = []
-    for b in range(0, K, per_block):
-        trees += _grow_block(XT, y, boots[b:b + per_block], num_classes,
-                             max_depth, min_leaf, beta)
-    return trees
+    blocks = [_grow_block(XT, y, boots[b:b + per_block], num_classes, max_depth,
+                          min_leaf, beta) for b in range(0, K, per_block)]
+    sizes = [len(nodes.feature) for nodes, _ in blocks]
+    shifts = np.cumsum(sizes) - sizes
+    roots = np.concatenate([r + s for (_, r), s in zip(blocks, shifts)])
+    return Nodes(*map(np.concatenate, zip(*(nodes for nodes, _ in blocks)))), roots
+
+
+def _leaf_dists(nodes, roots, X):
+    """(K, N, C) leaf distributions of the packed trees at the rows of ``X``."""
+    feature, threshold, left, right, dist = nodes
+    N = len(X)
+    root = np.repeat(roots, N)  # pair k * N + i is tree k at input i
+    node = root.copy()
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        go_left = X[active % N, feature[at]] <= threshold[at]
+        node[active] = root[active] + np.where(go_left, left[at], right[at])
+        active = active[feature[node[active]] >= 0]
+    return dist[node].reshape(len(roots), N, dist.shape[1])
 
 
 class BootstrapForest(Model):
@@ -267,13 +270,13 @@ class BootstrapForest(Model):
         n = len(examples)
         boots = np.stack([self._rng.integers(0, n, size=n)
                           for _ in range(self.num_samples)])
-        self.trees = _grow_trees(X, y, boots, self.num_classes, self.max_depth,
-                                 self.min_leaf, self.beta)
+        self._nodes, self._roots = _grow_trees(X, y, boots, self.num_classes,
+                                               self.max_depth, self.min_leaf, self.beta)
+        self.trees = [Nodes(*views) for views in  # each tree's slices, not copies
+                      zip(*(np.split(a, self._roots[1:]) for a in self._nodes))]
         return self
 
     def conditionals(self, X):
         if self.trees is None:
             raise FitError("model is not fitted")
-        X = as_inputs(X)
-        per_tree = np.stack([t.predict_dist(X) for t in self.trees])  # (K, N, C)
-        return per_tree.transpose(1, 0, 2)
+        return _leaf_dists(self._nodes, self._roots, as_inputs(X)).transpose(1, 0, 2)

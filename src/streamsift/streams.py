@@ -217,6 +217,8 @@ def load_idx(images_path, labels_path):
                 f"truncated pixel data in {images_path}: expected "
                 f"{count * rows * cols} bytes, got {len(payload)}"
             )
+        if rows * cols > np.iinfo(np.intp).max:  # only possible with no images
+            raise DataFormatError(f"image size {rows}x{cols} in {images_path} is too large")
         pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
 
     with open(labels_path, "rb") as fh:

@@ -624,6 +624,14 @@ def bad_input(tmp_path, case):
     if case == "file_as_run_output_dir":
         return (run + ["--override", f"output.dir={afile}"], {},
                 f"output.dir '{afile}' exists and is not a directory")
+    if case == "under_file_as_demo_output_dir":
+        return (demo + ["--output-dir", str(afile / "sub")], {},
+                f"argument --output-dir: value '{afile / 'sub'}' is under '{afile}', "
+                "which exists and is not a directory")
+    if case == "under_file_as_run_output_dir":
+        return (run + ["--override", f"output.dir={afile / 'sub'}"], {},
+                f"output.dir '{afile / 'sub'}' is under '{afile}', "
+                "which exists and is not a directory")
     raise AssertionError(case)
 
 
@@ -633,6 +641,7 @@ BAD_INPUTS = [
     "demo_seed_-1", "score_seed_-1", "env_seed_-3", "score_eta_nan", "override_eta_nan",
     "override_spread_infinity", "idx_header_overflow", "score_rho_loss",
     "override_on_a_list", "file_as_demo_output_dir", "file_as_run_output_dir",
+    "under_file_as_demo_output_dir", "under_file_as_run_output_dir",
 ]
 
 

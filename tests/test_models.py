@@ -23,7 +23,7 @@ from streamsift import (
     reweight_ensemble,
 )
 from streamsift.prob import SUM_ATOL
-from streamsift.models.forest import _grow_trees
+from streamsift.models.forest import _grow_trees, _leaf_dists
 
 
 def ex(features, label):
@@ -408,11 +408,11 @@ class TestBootstrapForest:
     ])
     def test_threshold_splits_adjacent_and_huge_values(self, a, b):
         rows = np.arange(2)[None, :]  # one tree on the two rows as given
-        tree = _grow_trees(np.array([[a], [b]]), np.array([0, 1]), rows, 2, 3, 1, 1.0)[0]
+        tree, roots = _grow_trees(np.array([[a], [b]]), np.array([0, 1]), rows, 2, 3, 1, 1.0)
         assert tree.feature[0] == 0
         assert a <= tree.threshold[0] < b
         leaves = [tree.left[0], tree.right[0]]
-        assert np.array_equal(tree.predict_dist(np.array([[a], [b]])),
+        assert np.array_equal(_leaf_dists(tree, roots, np.array([[a], [b]]))[0],
                               tree.dist[leaves])
         assert tree.dist[leaves[0]][0] > tree.dist[leaves[1]][0]
 
@@ -487,6 +487,25 @@ class TestBootstrapForest:
             tracemalloc.stop()
         assert len(m.trees[0].feature) > 1
         assert peak < 20 * 2**20
+
+    def test_conditionals_memory_at_harness_shape(self):
+        """K=32 trees at N=5000 inputs, C=10: one walk over every (tree, input)
+        pair holds little beyond its (N, K, C) output."""
+        import tracemalloc
+
+        rng = np.random.default_rng(16)
+        data = [ex(x, int(c)) for x, c in zip(rng.normal(size=(500, 16)),
+                                             rng.integers(0, 10, size=500))]
+        m = BootstrapForest(10, num_trees=32, max_depth=10, beta=0.05, seed=0).fit(data)
+        X = rng.normal(size=(5000, 16))
+        tracemalloc.start()
+        try:
+            out = m.conditionals(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (5000, 32, 10)
+        assert peak < 1.5 * out.nbytes
 
     def test_marginal_consistency(self):
         data = [ex([float(i % 5), float(i % 3)], i % 2) for i in range(40)]

@@ -285,6 +285,19 @@ class OldTree(PresortTree):
         return node
 
 
+def predict_dist(tree, X):
+    """One tree's leaf class distributions for a batch, shape (N, C): the
+    per-tree walk that ``BootstrapForest.conditionals`` ran once per tree."""
+    node = np.zeros(len(X), dtype=int)
+    active = tree.feature[node] >= 0
+    while np.any(active):
+        idx = node[active]
+        go_left = X[active, tree.feature[idx]] <= tree.threshold[idx]
+        node[active] = np.where(go_left, tree.left[idx], tree.right[idx])
+        active = tree.feature[node] >= 0
+    return tree.dist[node]
+
+
 # --- grid lookup ---------------------------------------------------------------
 
 
@@ -492,7 +505,9 @@ NODE_ARRAYS = ("feature", "threshold", "left", "right", "dist")
 def grow_one(X, y, num_classes, max_depth, min_leaf, beta):
     """The level-wise grower on the rows of X as given (no resampling)."""
     rows = np.arange(len(y))[None, :]
-    return forest._grow_trees(X, y, rows, num_classes, max_depth, min_leaf, beta)[0]
+    nodes, roots = forest._grow_trees(X, y, rows, num_classes, max_depth, min_leaf, beta)
+    assert roots.tolist() == [0]
+    return nodes
 
 
 def assert_same_tree(X, y, num_classes, max_depth, min_leaf, beta=0.5):
@@ -569,6 +584,37 @@ class TestForestSplitSearch:
         assert_same_tree(np.zeros((5, 0)), np.array([0, 1, 1, 0, 1]), 2, 3, 1)
         assert_same_forest(np.zeros((5, 0)), np.array([0, 1, 1, 0, 1]), 2, 3, 1,
                            num_trees=4, seed=0)
+
+
+class TestForestPrediction:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 6),
+           st.integers(2, 6), st.integers(0, 8), st.integers(1, 20),
+           st.sampled_from([1, 300, 1 << 40]), st.integers(0, 30))
+    def test_conditionals_match_per_tree_walk(self, seed, n, d, C, max_depth, K,
+                                              block, N):
+        """Stumps and deeper trees, grown in blocks of one tree, a few and all
+        K, queried at every split's threshold and the floats on either side of
+        it, at N drawn training rows, and at no rows."""
+        rng = np.random.default_rng(seed)
+        X, y = awkward_data(rng, n, d, C)
+        model = BootstrapForest(C, num_trees=K, max_depth=max_depth, seed=seed % 1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_BLOCK_CELLS", block)
+            model.fit([LabelledExample(x, int(c)) for x, c in zip(X, y)])
+        queries = [X[rng.integers(0, n, size=N)]]
+        for tree in model.trees:
+            for f, t in zip(tree.feature, tree.threshold):
+                if f >= 0:
+                    at = np.repeat(X[rng.integers(0, n, size=1)], 3, axis=0)
+                    at[:, f] = t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)
+                    queries.append(at)
+        Q = np.concatenate(queries)
+        old = np.stack([predict_dist(tree, Q) for tree in model.trees]).transpose(1, 0, 2)
+        assert np.array_equal(model.conditionals(Q), old)
+        assert model.conditionals(np.zeros((0, d))).shape == (0, K, C)
+        for tree in model.trees:  # views of the packed arrays, not copies
+            assert np.shares_memory(tree.feature, model._nodes.feature)
 
 
 # --- entropy and mutual information -------------------------------------------

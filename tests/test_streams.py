@@ -253,13 +253,16 @@ class TestIdx:
     @pytest.mark.parametrize("part,header,message", [
         ("images", (0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF), "truncated pixel data in"),
         ("labels", (0x801, 0xFFFFFFFF), "truncated label data in"),
+        # no images, but each one larger than any array
+        ("images", (0x803, 0, 0xFFFFFFFF, 0xFFFFFFFF), "image size 4294967295x4294967295 in"),
     ])
     def test_header_sizes_beyond_the_file(self, tmp_path, part, header, message):
         # the sizes the header declares are bounded by the file's own size
         paths = dict(zip(("images", "labels"), write_idx_pair(tmp_path, [[[0, 0]]], [1])))
         paths[part].write_bytes(struct.pack(f">{len(header)}I", *header) + b"\x00")
-        with pytest.raises(DataFormatError, match=message):
+        with pytest.raises(DataFormatError, match=message) as err:
             load_idx(paths["images"], paths["labels"])
+        assert str(paths[part]) in str(err.value)
 
     def test_canonical_mnist_if_present(self):
         import os
