@@ -79,7 +79,7 @@ def _build_parser():
     p_score.add_argument("--header", action="store_true",
                          help="store/candidate CSVs carry a header row")
     p_score.add_argument("--seed", type=_flag(int, _int(0)), default=None)
-    p_score.add_argument("--sample-count", type=int, default=20,
+    p_score.add_argument("--sample-count", type=_flag(int, _int(1)), default=20,
                          help="posterior samples K for sample-based models")
     return parser
 

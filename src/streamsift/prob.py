@@ -8,7 +8,6 @@ Everything here works in natural log (nats). Probabilities below
 import math
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import DomainError, ValidationError
 
@@ -130,7 +129,12 @@ def dirichlet_kl(alpha_post, alpha_prior):
     """Closed-form KL divergence between two Dirichlet distributions.
 
     KL(Dir(a) || Dir(b)) with a = alpha_post and b = alpha_prior, in nats.
+    ``scipy.special`` is imported here, on the first call, not with the
+    package: it would be most of ``import streamsift``'s time, and only the
+    Dirichlet model's parameter-KL update needs it.
     """
+    from scipy.special import digamma, gammaln
+
     a = np.asarray(alpha_post, dtype=float)
     b = np.asarray(alpha_prior, dtype=float)
     if a.shape != b.shape or a.ndim != 1:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from streamsift import harness
+from streamsift import cli, harness
 from streamsift.cli import main
 from streamsift.models import BootstrapForest
 
@@ -390,22 +390,26 @@ class TestScoreCommand:
         ]) == 2
         assert "model (forest): leaf smoothing beta must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("model,count,message", [
-        ({"kind": "forest"}, "0", "model (forest): num_trees must be >= 1"),
-        ({"kind": "forest"}, "-3", "model (forest): num_trees must be >= 1"),
-        ({"kind": "dirichlet"}, "0", "model (dirichlet): num_samples must be >= 1"),
-        ({"kind": "dropout_mlp"}, "-3", "model (dropout_mlp): num_samples must be >= 1"),
+    @pytest.mark.parametrize("model,count", [
+        ({"kind": "forest"}, "0"),
+        ({"kind": "forest"}, "-3"),
+        ({"kind": "dirichlet"}, "0"),
+        ({"kind": "dropout_mlp"}, "-3"),
     ])
-    def test_sample_count_below_one_exit_2(self, tmp_path, capsys, model, count, message):
+    def test_sample_count_below_one_exit_2(self, tmp_path, capsys, monkeypatch, model, count):
+        """sampling.K's rule, applied by argparse before any CSV is read."""
         store, cands, targets, _ = finite_fixture_files(tmp_path)
-        assert main([
-            "score", "--model", json.dumps(model), "--store", str(store),
-            "--candidates", str(cands), "--targets", str(targets),
-            "--objective", "epig", "--sample-count", count,
-        ]) == 2
+        monkeypatch.setattr(cli, "load_csv", lambda *a, **k: pytest.fail("a CSV was read"))
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "score", "--model", json.dumps(model), "--store", str(store),
+                "--candidates", str(cands), "--targets", str(targets),
+                "--objective", "epig", "--sample-count", count,
+            ])
+        assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert message in err
+        assert f"argument --sample-count: value must be >= 1, got {count}" in err
 
     def test_bad_dirichlet_bounds_exit_2(self, tmp_path, capsys):
         store, cands, targets, _ = finite_fixture_files(tmp_path)
@@ -592,6 +596,9 @@ def bad_input(tmp_path, case):
                 f"argument --{name}: value must be >= {minimum}, got {value}")
     if case == "score_seed_-1":
         return score + ["--seed", "-1"], {}, "argument --seed: value must be >= 0, got -1"
+    if case == "score_sample-count_0":  # the same rule as sampling.K
+        return (score + ["--sample-count", "0"], {},
+                "argument --sample-count: value must be >= 1, got 0")
     if case == "env_seed_-3":
         return demo, {"STREAMSIFT_SEED": "-3"}, "STREAMSIFT_SEED must be >= 0, got -3"
     if case == "score_eta_nan":
@@ -638,8 +645,8 @@ def bad_input(tmp_path, case):
 BAD_INPUTS = [
     "config_is_a_directory", "config_not_utf8", "store_not_utf8",
     "demo_resolution_0", "demo_resolution_-2", "demo_hypotheses_0", "demo_targets_0",
-    "demo_seed_-1", "score_seed_-1", "env_seed_-3", "score_eta_nan", "override_eta_nan",
-    "override_spread_infinity", "idx_header_overflow", "score_rho_loss",
+    "demo_seed_-1", "score_seed_-1", "score_sample-count_0", "env_seed_-3", "score_eta_nan",
+    "override_eta_nan", "override_spread_infinity", "idx_header_overflow", "score_rho_loss",
     "override_on_a_list", "file_as_demo_output_dir", "file_as_run_output_dir",
     "under_file_as_demo_output_dir", "under_file_as_run_output_dir",
 ]
