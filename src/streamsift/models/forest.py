@@ -16,19 +16,37 @@ are integers, so every score is exact up to the one float expression that
 computes it.
 
 Growth: the trees are grown together in blocks of at most ``_BLOCK_CELLS``
-feature x row entries, one depth level at a time. A block's rows are the
-concatenated bootstrap resamples, argsorted once per feature (stably) within
-each tree. Every open node of a level owns one contiguous segment of the
-``(d, R)`` order array that lists its rows in ascending order of each
-feature; a stable boolean mask moves the rows of each split into its left,
-then its right child's segment, so no node sorts again. A level's search
-covers every node at once, ``_CHUNK_CELLS`` entries of the order array at a
-time: one ``bincount`` counts the classes in each piece between consecutive
-boundaries (each (feature, node) segment start and each cell), and a running
-sum of the pieces, restarted at each segment start, gives the counts left of
-every cell. The Gini expression then runs on C-contiguous (cells, C) counts,
-so each score has the bits a per-node search gives it. Finally each tree's
-nodes are numbered in preorder (node, left subtree, right subtree).
+feature x row entries, one depth level at a time. A tree searches its
+distinct bootstrap rows, each weighted by the number of times it was drawn:
+a repeated row never forms a cell, because a cell needs a change of value,
+so the weighted class counts left of each cell (integer-valued floats,
+exact) are those of a search over every drawn row. The weighted counts also
+decide ``min_leaf``, whether a node may split and its leaf distribution.
+``X``'s columns are argsorted once per fit (stably), and a tree's order for
+each feature is that order filtered to its rows; rows of equal value may
+then come in another order than a per-tree sort gives, which cannot change a
+cell's counts or threshold. Every open node of a level owns one contiguous
+segment of the ``(d, R)`` order array that lists its rows in ascending order
+of each feature; a stable boolean mask moves the rows of each split into its
+left, then its right child's segment, so no node sorts again. A level's
+search covers every node at once, ``_CHUNK_CELLS`` entries of the order
+array at a time: one weighted ``bincount`` counts the classes in each piece
+between consecutive boundaries (each (feature, node) segment start and each
+cell), and a running sum of the pieces, restarted at each segment start,
+gives the counts left of every cell. Finally each tree's nodes are numbered
+in preorder (node, left subtree, right subtree).
+
+Screen: each cell with left and right counts l and r first gets
+``G = sum(l**2) / nl + sum(r**2) / nr``, which equals ``n * (1 - score)`` in
+exact arithmetic; the sums of squares of integer counts are exact in any
+order. Only the cells with ``G >= max(G) - _SCREEN * n`` over the node's
+cells so far go on to the Gini expression, on C-contiguous (cells, C)
+counts, so each score has the bits a per-node search gives it, and the first
+lowest score by (feature, position) wins. This is exact: G and the Gini
+expression each lie within a few ulps of the same rational, so every cell
+that ties or beats the node's lowest score passes, whatever n is. A cell
+that leaves fewer than ``min_leaf`` rows (by weight) on a side gets
+``G = -inf`` and never passes.
 
 Prediction: the forest keeps all K trees' nodes in one set of packed
 arrays, tree after tree, with each tree's root offset; a child index counts
@@ -45,12 +63,16 @@ from ..errors import FitError, ValidationError
 from ..rng import rng_from
 from .base import Model, as_inputs, dataset_arrays
 
-# feature x row entries of the trees grown together in one block; bounds the
-# block's values and sort orders
+# feature x row entries of the trees grown together in one block, a tree
+# counting the larger of its draws and X's rows; bounds the block's values and
+# sort orders
 _BLOCK_CELLS = 1 << 18
 # entries of a level's order array searched at once; bounds the (cells, C)
 # class counts
 _CHUNK_CELLS = 1 << 13
+# a cell whose G lies more than _SCREEN * n below its node's largest cannot
+# tie the node's lowest Gini score (see the module docstring)
+_SCREEN = 1e-12
 
 
 def _gini(counts, n):
@@ -66,25 +88,29 @@ def _gini(counts, n):
 Nodes = namedtuple("Nodes", "feature threshold left right dist")
 
 
-def _best_splits(xt, y, order, start, size, node_of, can_split, total, min_leaf):
+def _best_splits(xt, y, w, order, start, node_of, can_split, total, weight,
+                 min_leaf):
     """(feature, column) of each node's lowest-Gini cell, feature -1 where
     the node has none; the column is that of the cell's first row on the
-    right. ``order`` holds the J nodes' rows in segments ``start``/``size``,
-    ``node_of`` is the node of each column and ``total`` the (J, C) class
-    counts."""
+    right. ``order`` holds the J nodes' distinct rows in segments starting at
+    ``start``, ``node_of`` is the node of each column, ``w`` each row's
+    multiplicity, and ``total`` and ``weight`` the nodes' weighted (J, C)
+    class counts and sizes."""
     J, C = total.shape
     d, R = order.shape
-    pos = np.arange(R) - start[node_of]
-    ok = can_split[node_of] & (pos >= min_leaf) & (pos <= size[node_of] - min_leaf)
+    ok = can_split[node_of]
+    ok[start] = False  # no cell before a segment's first row
     best = np.full(J, np.inf)
+    top = np.full(J, -np.inf)  # the largest G of each node so far
     feat = np.full(J, -1)
     column = np.zeros(J, dtype=np.intp)
-    if not ok[1:].any():
+    if not ok.any():
         return feat, column
+    flat = xt.ravel()
     step = max(1, _CHUNK_CELLS // R)
     for f0 in range(0, d, step):
         o = order[f0:f0 + step]
-        xs = np.take_along_axis(xt[f0:f0 + step], o, axis=1)
+        xs = flat.take(o + (np.arange(f0, f0 + len(o)) * xt.shape[1])[:, None])
         fi, col = np.nonzero((xs[:, 1:] > xs[:, :-1]) & ok[1:])
         if fi.size == 0:
             continue
@@ -98,14 +124,23 @@ def _best_splits(xt, y, order, start, size, node_of, can_split, total, min_leaf)
         bound[cell] = True
         bound[seg] = True
         piece = np.cumsum(bound)  # 1 + the boundaries before each entry
-        counts = np.bincount(piece * C + y[o].ravel(), minlength=(piece[-1] + 1) * C)
+        counts = np.bincount(piece * C + y[o].ravel(), weights=w[o].ravel(),
+                             minlength=(piece[-1] + 1) * C)
         upto = np.cumsum(counts.reshape(-1, C), axis=0)  # before each boundary
         left = np.take(upto, piece[cell] - 1, axis=0)  # (V, C)
         left -= np.take(upto, piece[seg] - 1, axis=0)
         right = np.take(total, node, axis=0)
         right -= left
-        nl = (col - start[node]).astype(float)
-        n = size[node].astype(float)
+        nl = left.sum(axis=1)
+        n = weight[node]
+        # G = n (1 - score) in exact arithmetic, from exact sums of squares
+        G = (np.einsum("ij,ij->i", left, left) / nl
+             + np.einsum("ij,ij->i", right, right) / (n - nl))
+        G[(nl < min_leaf) | (n - nl < min_leaf)] = -np.inf
+        np.maximum.at(top, node, G)
+        keep = np.flatnonzero((G >= top[node] - _SCREEN * n) & (G > -np.inf))
+        fi, col, node, left, right, nl, n = (
+            a[keep] for a in (fi, col, node, left, right, nl, n))
         score = (nl * _gini(left, nl) + (n - nl) * _gini(right, n - nl)) / n
         low = np.full(J, np.inf)
         np.minimum.at(low, node, score)
@@ -119,29 +154,39 @@ def _best_splits(xt, y, order, start, size, node_of, can_split, total, min_leaf)
     return feat, column
 
 
-def _grow_block(XT, y, boots, num_classes, max_depth, min_leaf, beta):
-    """Grow one tree per row of ``boots`` on ``XT[:, idx]``, ``y[idx]``; see
-    the module docstring."""
-    B, n = boots.shape
-    d = XT.shape[0]
+def _grow_block(XT, y, presort, boots, num_classes, max_depth, min_leaf, beta):
+    """Grow one tree per row of ``boots`` on ``XT[:, idx]``, ``y[idx]``, given
+    ``XT``'s stable column orders ``presort``; see the module docstring."""
+    B = boots.shape[0]
+    d, N = XT.shape
     C = num_classes
-    xt = XT[:, boots.ravel()]  # (d, R): the block's rows, tree by tree
-    yb = y[boots.ravel()]
-    order = np.argsort(xt.reshape(d, B, n), axis=2, kind="stable")
-    order += (np.arange(B) * n)[:, None]
-    order = order.reshape(d, B * n)
-    rows = np.arange(B * n)
-    start, size, tree = np.arange(B) * n, np.full(B, n), np.arange(B)
+    # entry b * N + i counts the draws of row i by tree b
+    drawn = np.bincount((boots + (np.arange(B) * N)[:, None]).ravel(), minlength=B * N)
+    present = drawn > 0
+    # the block's rows: each tree's distinct rows, tree by tree
+    ids = np.flatnonzero(present) % N
+    w = drawn[present].astype(float)
+    xt = XT.take(ids, axis=1)  # C-contiguous, unlike XT[:, ids]
+    yb = y[ids]
+    # each (tree, row) pair's column in the block, -1 where the tree never drew it
+    local = np.where(present, np.cumsum(present) - 1, -1)
+    order = local[presort[:, None, :] + (np.arange(B) * N)[:, None]]  # (d, B, N)
+    order = order[order >= 0].reshape(d, ids.size)
+    rows = np.arange(ids.size)
+    size = present.reshape(B, N).sum(axis=1)
+    start, tree = np.cumsum(size) - size, np.arange(B)
     levels = []  # per level: tree, feature, threshold, leaf dists, split mask
     depth = 0
     while True:
         J = size.size
         node_of = np.repeat(np.arange(J), size)
-        total = np.bincount(node_of * C + yb[rows], minlength=J * C).reshape(J, C)
-        can_split = ((depth < max_depth) & (size >= 2 * min_leaf)
-                     & (total.max(axis=1) < size))
-        feat, column = _best_splits(xt, yb, order, start, size, node_of, can_split,
-                                 total, min_leaf)
+        total = np.bincount(node_of * C + yb[rows], weights=w[rows],
+                            minlength=J * C).reshape(J, C)
+        weight = total.sum(axis=1)
+        can_split = ((depth < max_depth) & (weight >= 2 * min_leaf)
+                     & (total.max(axis=1) < weight))
+        feat, column = _best_splits(xt, yb, w, order, start, node_of, can_split,
+                                    total, weight, min_leaf)
         split = feat >= 0
         thr = np.zeros(J)
         if split.any():
@@ -152,7 +197,7 @@ def _grow_block(XT, y, boots, num_classes, max_depth, min_leaf, beta):
             thr[split] = np.where((lo <= mid) & (mid < hi), mid, lo)
         dist = np.zeros((J, C))
         leaf = ~split
-        dist[leaf] = (total[leaf] + beta) / (size[leaf] + beta * C)[:, None]
+        dist[leaf] = (total[leaf] + beta) / (weight[leaf] + beta * C)[:, None]
         levels.append((tree, feat, thr, dist, split))
         if not split.any():
             break
@@ -217,9 +262,10 @@ def _grow_trees(X, y, boots, num_classes, max_depth, min_leaf, beta):
     and each tree's root."""
     K, n = boots.shape
     XT = np.ascontiguousarray(X.T)
-    per_block = max(1, _BLOCK_CELLS // max(1, XT.shape[0] * n))
-    blocks = [_grow_block(XT, y, boots[b:b + per_block], num_classes, max_depth,
-                          min_leaf, beta) for b in range(0, K, per_block)]
+    presort = np.argsort(XT, axis=1, kind="stable")
+    per_block = max(1, _BLOCK_CELLS // max(1, XT.shape[0] * max(n, XT.shape[1])))
+    blocks = [_grow_block(XT, y, presort, boots[b:b + per_block], num_classes,
+                          max_depth, min_leaf, beta) for b in range(0, K, per_block)]
     sizes = [len(nodes.feature) for nodes, _ in blocks]
     shifts = np.cumsum(sizes) - sizes
     roots = np.concatenate([r + s for (_, r), s in zip(blocks, shifts)])
@@ -260,6 +306,7 @@ class BootstrapForest(Model):
         self.seed = int(seed)
         self._rng = rng_from(seed)
         self.trees = None
+        self.num_features = None  # the width of the rows of the last fit
 
     def fit(self, examples):
         X, y = dataset_arrays(examples)
@@ -274,9 +321,14 @@ class BootstrapForest(Model):
                                                self.max_depth, self.min_leaf, self.beta)
         self.trees = [Nodes(*views) for views in  # each tree's slices, not copies
                       zip(*(np.split(a, self._roots[1:]) for a in self._nodes))]
+        self.num_features = X.shape[1]
         return self
 
     def conditionals(self, X):
         if self.trees is None:
             raise FitError("model is not fitted")
-        return _leaf_dists(self._nodes, self._roots, as_inputs(X)).transpose(1, 0, 2)
+        X = as_inputs(X)
+        if X.shape[1] != self.num_features:
+            raise ValidationError(f"inputs have {X.shape[1]} features, but the forest "
+                                  f"was fit on {self.num_features}")
+        return _leaf_dists(self._nodes, self._roots, X).transpose(1, 0, 2)

@@ -150,9 +150,23 @@ def _read_csv(path, label_column=None, header=False):
                 ) from None
             if label is not None and label < 0:
                 raise DataFormatError(f"label {label} is negative", row=row_num, column=lab)
-            yield label, np.array([_feature(row[c], row_num, c) for c in cols])
+            yield label, _features(row if lab is None else row[:lab] + row[lab + 1:],
+                                   row_num, cols)
     if width is None:
         raise DataFormatError(f"no data rows in {path}")
+
+
+def _features(fields, row, cols):
+    """The feature fields of a row (from columns ``cols``) as floats, in one
+    conversion: numpy parses each string with ``float()``, as ``_feature``
+    does, which names the first bad cell when a field is no finite number."""
+    try:
+        values = np.array(fields, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_feature(f, row, c) for f, c in zip(fields, cols)])
 
 
 def _feature(field, row, column):

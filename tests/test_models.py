@@ -17,10 +17,12 @@ from streamsift import (
     PredictiveEnsemble,
     Categorical,
     JointCategorical,
+    TargetSet,
     TrainingDivergedError,
     ValidationError,
     dirichlet_kl,
     reweight_ensemble,
+    score_pool,
 )
 from streamsift.prob import SUM_ATOL
 from streamsift.models.forest import _grow_trees, _leaf_dists
@@ -449,6 +451,21 @@ class TestBootstrapForest:
         b = BootstrapForest(2, num_trees=5, seed=12).fit(data)
         X = np.stack([e_.features for e_ in data])
         assert np.array_equal(a.conditionals(X), b.conditionals(X))
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_rejects_inputs_of_another_width(self, width):
+        """Without the check, narrower inputs index past their rows and wider
+        ones are scored on their first two features."""
+        m = BootstrapForest(2, num_trees=3, seed=0).fit(
+            [ex([float(i), float(i % 3)], i % 2) for i in range(10)])
+        match = rf"inputs have {width} features, but the forest was fit on 2"
+        with pytest.raises(ValidationError, match=match):
+            m.conditionals(np.zeros((4, width)))
+        pool = [ex(np.zeros(width), 0)] * 3
+        with pytest.raises(ValidationError, match=match):
+            score_pool("epig", m, pool, TargetSet(np.zeros((5, 2))))
+        with pytest.raises(ValidationError, match=match):
+            score_pool("epig", m, [ex(np.zeros(2), 0)] * 3, TargetSet(np.zeros((5, width))))
 
     @pytest.mark.parametrize("num_trees", [0, -3])
     def test_rejects_fewer_than_one_tree(self, num_trees):

@@ -585,6 +585,70 @@ class TestForestSplitSearch:
         assert_same_forest(np.zeros((5, 0)), np.array([0, 1, 1, 0, 1]), 2, 3, 1,
                            num_trees=4, seed=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.integers(1, 6), st.integers(2, 5), st.integers(1, 3), st.integers(0, 8),
+           st.integers(1, 8))
+    def test_heavily_repeated_rows_match_presorted_oracle(self, seed, n, m, d, C, min_leaf,
+                                                         max_depth, K):
+        """Bootstraps of m draws from at most 3 distinct rows of the n, split
+        into random positive multiplicities: a row can weigh 1 or up to m, so
+        ``min_leaf`` must count repeats."""
+        rng = np.random.default_rng(seed)
+        X, y = awkward_data(rng, n, d, C)
+        boots = []
+        for _ in range(K):
+            k = min(n, m, int(rng.integers(1, 4)))
+            cuts = np.sort(rng.choice(np.arange(1, m), size=k - 1, replace=False))
+            counts = np.diff(np.concatenate(([0], cuts, [m])))
+            boots.append(rng.permutation(np.repeat(rng.choice(n, size=k, replace=False),
+                                                   counts)))
+        boots = np.stack(boots)
+        nodes, roots = forest._grow_trees(X, y, boots, C, max_depth, min_leaf, 0.5)
+        ends = np.append(roots[1:], len(nodes.feature))
+        for idx, a, b in zip(boots, roots, ends):
+            old = PresortTree(C, max_depth, min_leaf, 0.5).fit(X[idx], y[idx])
+            for name in NODE_ARRAYS:
+                assert np.array_equal(getattr(nodes, name)[a:b], getattr(old, name)), name
+
+    def test_screen_keeps_exact_ties(self):
+        """Rows 0..m-1 carry labels s, rows m..2m-1 the labels s with two
+        classes swapped; feature 0 sorts the rows as 0..2m-1 and feature 1 as
+        m..2m-1, 0..m-1. Every cell of feature 1 then holds the swapped class
+        counts of the cell of feature 0 at the same position: the same Gini in
+        exact arithmetic, summed in another order. The screened search must
+        pick what the unscreened one picks, also where round-off splits a tie."""
+        split_ties = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            C, m = int(rng.integers(3, 11)), int(rng.integers(2, 30))
+            s = rng.integers(0, C, size=m)
+            a, b = rng.choice(C, size=2, replace=False)
+            swap = np.arange(C)
+            swap[[a, b]] = b, a
+            y = np.concatenate((s, swap[s]))
+            i = np.arange(2 * m, dtype=float)
+            X = np.column_stack((i, (i + m) % (2 * m)))
+            # the oracle's root scores of both features at each position
+            cum = np.cumsum(y[:, None] == np.arange(C), axis=0)
+            pos = np.arange(1.0, 2 * m)
+            root = [(pos * _presort_gini(counts[:-1], pos) + (2 * m - pos)
+                     * _presort_gini(counts[-1] - counts[:-1], 2 * m - pos)) / (2 * m)
+                    for counts in (cum, cum[:, swap])]
+            best = np.argmin(np.minimum(*root))
+            split_ties += root[0][best] != root[1][best]
+            boots = np.concatenate((np.arange(2 * m)[None],
+                                    rng.integers(0, 2 * m, size=(3, 2 * m))))
+            screened = forest._grow_trees(X, y, boots, C, 4, 1, 0.5)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(forest, "_SCREEN", np.inf)
+                unscreened = forest._grow_trees(X, y, boots, C, 4, 1, 0.5)
+            for name in NODE_ARRAYS:
+                assert np.array_equal(getattr(screened[0], name),
+                                      getattr(unscreened[0], name)), name
+            assert_same_tree(X, y, C, 4, 1)
+        assert split_ties > 0
+
 
 class TestForestPrediction:
     @settings(max_examples=100, deadline=None)
@@ -748,6 +812,24 @@ class TestCsvReaders:
                 read()
             assert f"(row {row}, column {col})" in str(err.value)
             assert repr(cell) in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["1_0", " 2.5 ", "\u0661\u0662", "+.5", "nan", "inf",
+                                      "0x10", ""])
+    def test_cell_reads_as_python_float(self, tmp_path, cell):
+        """A cell holds what ``float()`` makes of it, or fails naming itself."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"0.5,1.5,0\n2.5,{cell},1\n", encoding="utf-8")
+        try:
+            value = float(cell)
+        except ValueError:
+            value = float("nan")
+        if np.isfinite(value):
+            assert np.stack([ex.features for ex in load_csv(path, 2)]).tolist() == [
+                [0.5, 1.5], [2.5, value]]
+        else:
+            with pytest.raises(DataFormatError) as err:
+                load_csv(path, 2)
+            assert f"feature {cell!r} is not a finite number (row 1, column 1)" == str(err.value)
 
     @settings(max_examples=50, deadline=None)
     @given(labelled_matrices(), st.data())
