@@ -39,7 +39,7 @@ class TargetSet:
 
     def __init__(self, inputs):
         X = as_inputs(inputs)
-        if X.ndim != 2 or X.shape[0] < 1:
+        if X.shape[0] < 1:
             raise ValidationError(f"need at least one target input, got shape {X.shape}")
         self.inputs = X
 
@@ -93,7 +93,7 @@ def mic_scores(model, X, y, eta=1.0):
     rows = np.arange(len(y))
     if isinstance(model, DirichletHistogramClassifier):
         # a_y / sum(a) before the update, (a_y + 1) / sum(a with a_y + 1) after
-        bins = model.bin_indices(as_inputs(X)).tolist()
+        bins = model.bin_indices(X).tolist()
         alpha = np.array([model.concentrations(b) for b in bins]).reshape(-1, model.num_classes)
         prior_mass = alpha[rows, y] / alpha.sum(axis=1)
         alpha[rows, y] += 1.0

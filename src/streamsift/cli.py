@@ -5,12 +5,14 @@ Subcommands:
   demo   render the two-bells prioritisation heatmaps (5 CSVs + 5 SVGs)
   score  fit a model on a store CSV and rank candidate examples
 
-Exit codes: 0 success, 2 configuration/input error, 3 runtime failure of
-every seed. The STREAMSIFT_SEED environment variable supplies a last-resort
-seed default when neither flags nor config give one.
+Exit codes: 0 success (also when the reader of stdout closes it early, as
+``streamsift score ... | head -n 1`` does), 2 configuration/input error, 3
+runtime failure of every seed. The STREAMSIFT_SEED environment variable
+supplies a last-resort seed default when neither flags nor config give one.
 """
 
 import argparse
+import os
 import sys
 
 from .acquisition import OBJECTIVES, TARGET_OBJECTIVES, TargetSet, score_pool
@@ -144,7 +146,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = {"run": cmd_run, "demo": cmd_demo, "score": cmd_score}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has all it wants; stdout goes to devnull so that the
+        # interpreter's own flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,6 +5,9 @@ parameter samples: row j of an ensemble's conditional matrix is
 p(y | x, theta_j) and the weights are the (prior or posterior) mass on each
 sample. Uniform weights give the usual Monte Carlo picture; non-uniform
 weights let an exhaustive hypothesis enumeration share the same code path.
+
+Input rule: models read input rows through ``as_inputs(X, self.num_features)``:
+finite numbers, 2-D (a 1-D X is one column) and, if any, of the model's width.
 """
 
 import numpy as np
@@ -19,12 +22,15 @@ class LabelledExample:
     __slots__ = ("features", "label")
 
     def __init__(self, features, label):
-        self.features = np.asarray(features, dtype=float)
+        self.features = float_array(features, "features")
         if self.features.ndim != 1:
             raise ValidationError(f"features must be 1-d, got {self.features.shape}")
+        label = as_labels(label)
+        if label.ndim:
+            raise ValidationError(f"label must be a single integer, got {label.tolist()}")
         self.label = int(label)
         if self.label < 0:
-            raise ValidationError(f"label must be non-negative, got {label}")
+            raise ValidationError(f"label must be non-negative, got {self.label}")
 
     def __repr__(self):
         return f"LabelledExample({self.features.tolist()}, {self.label})"
@@ -46,29 +52,40 @@ def dataset_arrays(examples):
     return X, y
 
 
-def as_inputs(X):
-    """X as a float array of input rows; a 1-D X is N inputs with one
-    feature each."""
-    X = np.asarray(X, dtype=float)
-    return X[:, None] if X.ndim == 1 else X
+def as_inputs(X, width=None):
+    """X as 2-D finite input rows, ``width`` wide when given (the input rule);
+    a 1-D X is N one-feature inputs, and no rows pass as shape (0, width)."""
+    X = float_array(X, "inputs")
+    X = X[:, None] if X.ndim == 1 else X
+    if X.ndim != 2:
+        raise ValidationError(f"inputs must be 1-d or 2-d, got shape {X.shape}")
+    if width is None or X.shape[1] == width:
+        return X
+    if len(X) == 0:
+        return X.reshape(0, width)
+    raise ValidationError(f"inputs have {X.shape[1]} features, but the model takes {width}")
 
 
 def as_input(x):
     """A single input x as a batch of one, shape (1, d); a scalar x is one
     input with one feature."""
-    x = np.asarray(x, dtype=float)
+    x = float_array(x, "inputs")
     if x.ndim > 1:
         raise ValidationError(f"a single input must be a scalar or 1-d, got shape {x.shape}")
     return x.reshape(1, -1)
 
 
-def as_labels(y, num_classes):
-    """y as an int array of class labels; every label must be an integer in
-    [0, num_classes)."""
+def as_labels(y, num_classes=None):
+    """y as an int array of class labels: every label a whole number (2.0
+    passes; 1.7 and "2" do not) and, given ``num_classes``, in [0, num_classes)."""
     y = np.asarray(y)
-    bad = ~np.isin(y, np.arange(num_classes))
-    if np.any(bad):
-        raise ValidationError(f"label {y[bad][0]} is not an integer in [0, {num_classes})")
+    ok = ((np.floor(y) == y) & (np.abs(y) < 2.0**63) if y.dtype.kind == "f"
+          else np.full(y.shape, y.dtype.kind in "biu"))  # whole and int64-sized
+    if num_classes is not None:
+        ok &= np.isin(y, np.arange(num_classes))
+    if np.count_nonzero(ok) < ok.size:
+        span = "" if num_classes is None else f" in [0, {num_classes})"
+        raise ValidationError(f"label {y[~ok].tolist()[0]!r} is not an integer{span}")
     return y.astype(int)
 
 
@@ -92,10 +109,6 @@ class PredictiveEnsemble:
     @property
     def num_samples(self):
         return self.conditionals.shape[0]
-
-    @property
-    def num_classes(self):
-        return self.conditionals.shape[1]
 
     def marginal(self):
         """Weight-averaged predictive as a :class:`Categorical`."""
@@ -144,15 +157,14 @@ def reweight_ensemble(ensemble, observed_conditionals):
 class Model:
     """Contract shared by all predictive models.
 
-    Subclasses set ``num_classes`` and ``num_samples`` and implement
-    ``fit(examples)`` plus the vectorized ``conditionals(X) -> (N, K, C)``,
-    which reads X through :func:`as_inputs`; ``sample_weights`` defaults to
-    uniform. ``fit`` refits from scratch on the given training set.
-    Prediction methods are read-only after fit.
+    Subclasses set ``num_classes``, ``num_samples`` and ``num_features``, the
+    input width (a forest's first fit sets it), and implement ``fit(examples)``
+    plus the vectorized ``conditionals(X) -> (N, K, C)``, which both follow the
+    input rule; ``sample_weights`` defaults to uniform. ``fit`` refits from
+    scratch on the given training set. Prediction methods are read-only after fit.
     """
 
-    num_classes = None
-    num_samples = None
+    num_features = None
 
     def fit(self, examples):
         raise NotImplementedError

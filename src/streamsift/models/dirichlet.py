@@ -34,8 +34,7 @@ class DirichletHistogramClassifier(Model):
         if self.num_samples < 1:
             raise ValidationError("num_samples must be >= 1")
         self.seed = int(seed)
-        self.dim = self.lower.shape[0]
-        self.num_bins = self.bins_per_dim ** self.dim
+        self.num_features = self.lower.shape[0]
         # concentrations of the occupied bins only; every other bin is alpha0
         self._occupied = {}
         self._fit_generation = 0
@@ -51,11 +50,7 @@ class DirichletHistogramClassifier(Model):
     def bin_indices(self, X):
         """Flat bin index of each row of X; the upper box edge maps to the
         last bin."""
-        X = np.asarray(X, dtype=float)
-        if X.shape[1:] != self.lower.shape:
-            raise ValidationError(
-                f"input dim {X.shape[1:]} != box dim {self.lower.shape}"
-            )
+        X = as_inputs(X, self.num_features)
         outside = np.flatnonzero(np.any((X < self.lower) | (X > self.upper), axis=1))
         if outside.size:
             raise ValidationError(
@@ -64,7 +59,7 @@ class DirichletHistogramClassifier(Model):
             )
         width = (self.upper - self.lower) / self.bins_per_dim
         per_dim = np.minimum(((X - self.lower) / width).astype(int), self.bins_per_dim - 1)
-        return np.ravel_multi_index(per_dim.T, (self.bins_per_dim,) * self.dim)
+        return np.ravel_multi_index(per_dim.T, (self.bins_per_dim,) * self.num_features)
 
     def bin_index(self, x):
         """Flat bin index of a single input."""
@@ -76,7 +71,7 @@ class DirichletHistogramClassifier(Model):
         # the first bad row in input order decides which error is raised
         bad_label = np.flatnonzero(y >= self.num_classes)
         first_bad = bad_label[0] if bad_label.size else len(y)
-        bins = self.bin_indices(X[:first_bad]) if first_bad else np.zeros(0, dtype=int)
+        bins = self.bin_indices(X[:first_bad])
         if bad_label.size:
             raise FitError(f"label {y[first_bad]} out of range for C={self.num_classes}")
         occupied, inverse = np.unique(bins, return_inverse=True)
@@ -97,7 +92,7 @@ class DirichletHistogramClassifier(Model):
         return cached
 
     def conditionals(self, X):
-        bins, inverse = np.unique(self.bin_indices(as_inputs(X)), return_inverse=True)
+        bins, inverse = np.unique(self.bin_indices(X), return_inverse=True)
         samples = np.empty((len(bins), self.num_samples, self.num_classes))
         for i, b in enumerate(bins.tolist()):
             samples[i] = self._bin_samples(b)

@@ -64,6 +64,7 @@ class FiniteHypothesisModel(Model):
         self.posterior = self.prior.copy()
         self.num_classes = self.tables.shape[2]
         self.num_samples = J
+        self.num_features = self.grid.shape[1]
         # grid rows sorted by their first coordinate, for windowed lookups
         self._order = np.argsort(self.grid[:, 0], kind="stable")
         self._keys = self.grid[self._order, 0]
@@ -96,7 +97,7 @@ class FiniteHypothesisModel(Model):
 
     def grid_indices(self, X):
         """Grid row of each row of X (see the class docstring)."""
-        X = as_inputs(X)
+        X = as_inputs(X, self.num_features)
         idx = self._lookup(X)
         missing = np.flatnonzero(idx < 0)
         if missing.size:
@@ -108,7 +109,7 @@ class FiniteHypothesisModel(Model):
     def fit(self, examples):
         """Reset to the prior, then update exactly on each example in turn."""
         X, y = dataset_arrays(examples)
-        idx = self._lookup(X)
+        idx = self._lookup(as_inputs(X, self.num_features))
         w = self.prior.copy()
         for x, g, label in zip(X, idx, y):
             if g < 0:

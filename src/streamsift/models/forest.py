@@ -303,15 +303,14 @@ class BootstrapForest(Model):
         self.max_depth = int(max_depth)
         self.min_leaf = int(min_leaf)
         self.beta = float(beta)
-        self.seed = int(seed)
         self._rng = rng_from(seed)
         self.trees = None
-        self.num_features = None  # the width of the rows of the last fit
 
     def fit(self, examples):
         X, y = dataset_arrays(examples)
         if len(examples) == 0:
             raise FitError("cannot fit a forest on an empty training set")
+        X = as_inputs(X, self.num_features)
         if np.any(y >= self.num_classes):
             raise FitError(f"label {y.max()} out of range for C={self.num_classes}")
         n = len(examples)
@@ -327,8 +326,5 @@ class BootstrapForest(Model):
     def conditionals(self, X):
         if self.trees is None:
             raise FitError("model is not fitted")
-        X = as_inputs(X)
-        if X.shape[1] != self.num_features:
-            raise ValidationError(f"inputs have {X.shape[1]} features, but the forest "
-                                  f"was fit on {self.num_features}")
+        X = as_inputs(X, self.num_features)
         return _leaf_dists(self._nodes, self._roots, X).transpose(1, 0, 2)

@@ -120,8 +120,7 @@ class DropoutMLP(Model):
         X, y = dataset_arrays(examples)
         if len(examples) == 0:
             raise FitError("cannot train on an empty training set")
-        if X.shape[1] != self.num_features:
-            raise FitError(f"expected {self.num_features} features, got {X.shape[1]}")
+        X = as_inputs(X, self.num_features)
         if np.any(y >= self.num_classes):
             raise FitError(f"label {y.max()} out of range for C={self.num_classes}")
         self._fit_count += 1
@@ -163,6 +162,6 @@ class DropoutMLP(Model):
     def conditionals(self, X):
         if self.params is None:
             raise FitError("model is not fitted")
-        X = as_inputs(X)
+        X = as_inputs(X, self.num_features)
         rows = [self._forward(X, self.params, masks=m)[0] for m in self._masks]
         return np.stack(rows).transpose(1, 0, 2)

@@ -1,7 +1,11 @@
 """CLI exit codes, file outputs, and determinism."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,6 +512,26 @@ class TestScoreCommand:
         assert out == ""
         assert f"cannot read --{part}: [Errno 2] No such file or directory: " in err
         assert str(files[part]) in err
+
+    def test_reader_closing_stdout_early_exits_0(self, tmp_path):
+        """``streamsift score ... | head -n 1``: the ranking outgrows the pipe's
+        buffer, the reader closes after one line, and the command still exits 0
+        without a traceback."""
+        store, _, _, spec = finite_fixture_files(tmp_path)
+        cands = tmp_path / "many.csv"
+        cands.write_text("".join(f"{i % 3}.0,{i % 2}\n" for i in range(6000)))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "streamsift.cli", "score", "--model", f"@{spec}",
+             "--store", str(store), "--candidates", str(cands), "--objective", "random"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"index,score,rank\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err
+        assert "Traceback" not in err
 
     def test_model_spec_path_is_a_directory_exit_2(self, tmp_path, capsys):
         store, cands, _, _ = finite_fixture_files(tmp_path)

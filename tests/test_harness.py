@@ -132,8 +132,12 @@ class TestRunExperiment:
         bad_seed = derive_seed(1, harness._TAG_MODEL)
 
         class FaultyForest(BootstrapForest):
+            def __init__(self, *args, seed, **kwargs):
+                super().__init__(*args, seed=seed, **kwargs)
+                self.faulty = seed == bad_seed
+
             def fit(self, examples):
-                if self.seed == bad_seed:
+                if self.faulty:
                     raise error("fault in seed 1")
                 return super().fit(examples)
 

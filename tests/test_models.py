@@ -402,6 +402,92 @@ class TestDirichletHistogramClassifier:
         assert np.allclose(m.exact_updated_predictive([0.25], 0, [0.25]), [3 / 4, 1 / 4])
 
 
+# the four model kinds, each fitted on two-feature rows that lie on the
+# finite model's grid and in the Dirichlet model's box
+GRID2 = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+MODEL_KINDS = {
+    "forest": lambda: BootstrapForest(2, num_trees=3, seed=0),
+    "dirichlet": lambda: DirichletHistogramClassifier(2, [0.0, 0.0], [1.0, 1.0],
+                                                      bins_per_dim=2, num_samples=3),
+    "dropout_mlp": lambda: DropoutMLP(2, 2, max_steps=3, num_samples=3),
+    "finite": lambda: FiniteHypothesisModel(
+        GRID2, np.random.default_rng(0).dirichlet(np.ones(2), size=(3, 4))),
+}
+# input rows a model must refuse, with the message that names why
+BAD_INPUTS = {
+    "nan row": (np.where(GRID2 == 1.0, np.nan, GRID2), "finite numbers"),
+    "inf row": (np.where(GRID2 == 1.0, np.inf, GRID2), "finite numbers"),
+    "narrower": (GRID2[:, :1], "inputs have 1 features, but the model takes 2"),
+    "wider": (np.hstack([GRID2, GRID2[:, :1]]),
+              "inputs have 3 features, but the model takes 2"),
+    "3-d": (GRID2[:, :, None], "1-d"),
+}
+# each way input rows reach a model
+INPUT_ENTRY_POINTS = {
+    "fit": lambda m, X: m.fit([ex(x, 0) for x in X]),
+    "conditionals": lambda m, X: m.conditionals(X),
+    "score_pool candidates":
+        lambda m, X: score_pool("epig", m, [ex(x, 0) for x in X], TargetSet(GRID2)),
+    "TargetSet targets": lambda m, X: score_pool("epig", m, [ex(GRID2[0], 0)], TargetSet(X)),
+}
+
+
+class TestModelInputRule:
+    """Every model takes finite input rows of its own width, and nothing else,
+    at every entry point (``models.base.as_inputs``)."""
+
+    def fitted(self, kind):
+        return MODEL_KINDS[kind]().fit([ex(x, c) for x, c in zip(GRID2, [0, 1, 1, 0])])
+
+    @pytest.mark.parametrize("bad", BAD_INPUTS)
+    @pytest.mark.parametrize("entry", INPUT_ENTRY_POINTS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_rejects(self, kind, entry, bad):
+        """Without the rule the finite model reads a narrower row as a grid row,
+        the MLP raises numpy's matmul ValueError, the Dirichlet model's NaN
+        cast fails, and the forest sends a NaN right at every node."""
+        model = self.fitted(kind)
+        X, message = BAD_INPUTS[bad]
+        with pytest.raises(ValidationError, match=message):
+            INPUT_ENTRY_POINTS[entry](model, X)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_every_model_takes_its_width(self, kind):
+        model = self.fitted(kind)
+        assert model.num_features == 2
+        assert model.conditionals(GRID2).shape == (4, 3, 2)
+        assert model.conditionals(np.zeros((0, 5))).shape == (0, 3, 2)
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "finite"])
+    def test_fit_on_no_examples(self, kind):
+        model = MODEL_KINDS[kind]().fit([])
+        assert model.conditionals(GRID2).shape == (4, 3, 2)
+
+
+class TestLabelledExample:
+    @pytest.mark.parametrize("label", [1.7, np.float64(2.5), "2", np.nan, 1e30, [1, 0]])
+    def test_label_must_be_one_integer(self, label):
+        with pytest.raises(ValidationError, match="label"):
+            LabelledExample([0.0], label)
+
+    def test_integer_valued_float_label(self):
+        assert LabelledExample([0.0], 2.0).label == 2
+        assert type(LabelledExample([0.0], np.int64(1)).label) is int
+
+    def test_negative_label(self):
+        with pytest.raises(ValidationError, match=r"^label must be non-negative, got -1$"):
+            LabelledExample([0.0], -1)
+
+    @pytest.mark.parametrize("features, message", [
+        ("abc", "features must be an array of numbers"),
+        ([np.nan], "features must be an array of finite numbers"),
+        ([[0.0]], "features must be 1-d"),
+    ])
+    def test_features_must_be_finite_numbers(self, features, message):
+        with pytest.raises(ValidationError, match=message):
+            LabelledExample(features, 0)
+
+
 class TestBootstrapForest:
     @pytest.mark.parametrize("a, b", [
         (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
@@ -451,21 +537,6 @@ class TestBootstrapForest:
         b = BootstrapForest(2, num_trees=5, seed=12).fit(data)
         X = np.stack([e_.features for e_ in data])
         assert np.array_equal(a.conditionals(X), b.conditionals(X))
-
-    @pytest.mark.parametrize("width", [1, 7])
-    def test_rejects_inputs_of_another_width(self, width):
-        """Without the check, narrower inputs index past their rows and wider
-        ones are scored on their first two features."""
-        m = BootstrapForest(2, num_trees=3, seed=0).fit(
-            [ex([float(i), float(i % 3)], i % 2) for i in range(10)])
-        match = rf"inputs have {width} features, but the forest was fit on 2"
-        with pytest.raises(ValidationError, match=match):
-            m.conditionals(np.zeros((4, width)))
-        pool = [ex(np.zeros(width), 0)] * 3
-        with pytest.raises(ValidationError, match=match):
-            score_pool("epig", m, pool, TargetSet(np.zeros((5, 2))))
-        with pytest.raises(ValidationError, match=match):
-            score_pool("epig", m, [ex(np.zeros(2), 0)] * 3, TargetSet(np.zeros((5, width))))
 
     @pytest.mark.parametrize("num_trees", [0, -3])
     def test_rejects_fewer_than_one_tree(self, num_trees):
