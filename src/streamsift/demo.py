@@ -20,7 +20,7 @@ import numpy as np
 
 from .acquisition import TargetSet, epig_scores, la_epig_scores, mic_scores
 from .errors import DataFormatError
-from .models import FiniteHypothesisModel, LabelledExample
+from .models import FiniteHypothesisModel, LabelledExample, dataset_arrays
 from .rng import derive_seed, rng_from
 from .svgrender import heatmap_svg
 
@@ -82,7 +82,7 @@ def build_demo_model(problem, extra_inputs, num_hypotheses=256, seed=0):
     basis features (lengthscale 3), with its grid covering the training
     inputs plus whatever inputs will be scored."""
     num_rbf, lengthscale = 16, 3.0
-    train_X = np.stack([ex.features for ex in problem.training_set])
+    train_X = dataset_arrays(problem.training_set)[0]
     grid = np.vstack([train_X, np.atleast_2d(extra_inputs)])
     rng = rng_from(seed, 7)
     centers = rng.uniform(-problem.box, problem.box, size=(num_rbf, 2))
@@ -205,7 +205,7 @@ def read_grid_csv(path):
 
 def distance_to_training(problem, X):
     """Distance from each input to its nearest training point."""
-    train_X = np.stack([ex.features for ex in problem.training_set])
+    train_X = dataset_arrays(problem.training_set)[0]
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return np.linalg.norm(X[:, None, :] - train_X[None, :, :], axis=2).min(axis=1)
 

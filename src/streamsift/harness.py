@@ -205,13 +205,10 @@ def prepare_data(config, run_seed, examples):
     else:
         schedule = stationary_stream(stream_data, config.stream["steps"], seed=sched_seed)
 
-    target_pool = (
-        np.stack([ex.features for ex in target_data]) if target_data else np.zeros((0, 0))
-    )
     return {
         "schedule": schedule,
         "eval_set": eval_set,
-        "target_pool": target_pool,
+        "target_pool": dataset_arrays(target_data)[0],
         "holdout": holdout,
     }
 
@@ -227,9 +224,9 @@ def build_model(spec, K, training, seed, labelled, inputs=()):
     every source's rows, widened by 1e-6 per side. A source of another width
     or a value the model rejects is a :class:`ConfigError`.
     """
-    sources = [(name, [ex.features for ex in examples]) for name, examples in labelled.items()]
-    sources = [(name, rows) for name, rows in sources + list(inputs) if len(rows)]
-    num_classes = max([2] + [ex.label + 1 for examples in labelled.values() for ex in examples])
+    arrays = [(name, *dataset_arrays(examples)) for name, examples in labelled.items()]
+    sources = [(name, rows) for name, rows, *_ in arrays + list(inputs) if len(rows)]
+    num_classes = max([2] + [int(y.max()) + 1 for _, _, y in arrays if len(y)])
     num_features = len(sources[0][1][0]) if sources else None
     for name, rows in sources[1:]:
         if len(rows[0]) != num_features:
@@ -280,12 +277,8 @@ def build_target_set(spec, context, seed):
     if source == "global":
         pool = context["target_pool"]
     elif source == "seen_so_far":
-        seen = [
-            ex.features
-            for batch in context["schedule"].steps[: context["step"] + 1]
-            for ex in batch
-        ]
-        pool = np.stack(seen)
+        steps = context["schedule"].steps[: context["step"] + 1]
+        pool = dataset_arrays([ex for batch in steps for ex in batch])[0]
     else:
         raise ConfigError(f"unknown targets.source {source!r}")
     M = spec["M"]

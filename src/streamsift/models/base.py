@@ -8,6 +8,8 @@ weights let an exhaustive hypothesis enumeration share the same code path.
 
 Input rule: models read input rows through ``as_inputs(X, self.num_features)``:
 finite numbers, 2-D (a 1-D X is one column) and, if any, of the model's width.
+Training-set rule: examples become (X, y) arrays only through
+``dataset_arrays(examples, width)``: all of one width, X through the input rule.
 """
 
 import numpy as np
@@ -43,13 +45,17 @@ class LabelledExample:
         )
 
 
-def dataset_arrays(examples):
-    """Stack a list of LabelledExample into (X, y) numpy arrays."""
-    if len(examples) == 0:
-        return np.zeros((0, 0)), np.zeros(0, dtype=int)
-    X = np.stack([e.features for e in examples])
-    y = np.array([e.label for e in examples], dtype=int)
-    return X, y
+def dataset_arrays(examples, width=None):
+    """Stack a list of LabelledExample into (X, y) numpy arrays (the
+    training-set rule); X follows the input rule, so [] gives shape (0, width)."""
+    try:
+        X = np.stack([e.features for e in examples]) if len(examples) else np.zeros((0, 0))
+    except ValueError:  # widths differ: name the first example that differs
+        w = [len(e.features) for e in examples]
+        i = next(i for i, wi in enumerate(w) if wi != w[0])
+        raise ValidationError(f"example {i} has {w[i]} features, "
+                              f"but example 0 has {w[0]}") from None
+    return as_inputs(X, width), np.array([e.label for e in examples], dtype=int)
 
 
 def as_inputs(X, width=None):

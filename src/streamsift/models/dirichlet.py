@@ -35,6 +35,9 @@ class DirichletHistogramClassifier(Model):
             raise ValidationError("num_samples must be >= 1")
         self.seed = int(seed)
         self.num_features = self.lower.shape[0]
+        if self.bins_per_dim ** self.num_features > np.iinfo(np.intp).max:
+            raise ValidationError(f"{self.bins_per_dim}**{self.num_features} bins are more "
+                                  "than a bin index can hold")
         # concentrations of the occupied bins only; every other bin is alpha0
         self._occupied = {}
         self._fit_generation = 0
@@ -59,7 +62,8 @@ class DirichletHistogramClassifier(Model):
             )
         width = (self.upper - self.lower) / self.bins_per_dim
         per_dim = np.minimum(((X - self.lower) / width).astype(int), self.bins_per_dim - 1)
-        return np.ravel_multi_index(per_dim.T, (self.bins_per_dim,) * self.num_features)
+        # row-major, the integers np.ravel_multi_index gives: they seed each bin's draws
+        return per_dim @ self.bins_per_dim ** np.arange(self.num_features - 1, -1, -1)
 
     def bin_index(self, x):
         """Flat bin index of a single input."""

@@ -108,8 +108,8 @@ class FiniteHypothesisModel(Model):
 
     def fit(self, examples):
         """Reset to the prior, then update exactly on each example in turn."""
-        X, y = dataset_arrays(examples)
-        idx = self._lookup(as_inputs(X, self.num_features))
+        X, y = dataset_arrays(examples, self.num_features)
+        idx = self._lookup(X)
         w = self.prior.copy()
         for x, g, label in zip(X, idx, y):
             if g < 0:

@@ -307,10 +307,9 @@ class BootstrapForest(Model):
         self.trees = None
 
     def fit(self, examples):
-        X, y = dataset_arrays(examples)
+        X, y = dataset_arrays(examples, self.num_features)
         if len(examples) == 0:
             raise FitError("cannot fit a forest on an empty training set")
-        X = as_inputs(X, self.num_features)
         if np.any(y >= self.num_classes):
             raise FitError(f"label {y.max()} out of range for C={self.num_classes}")
         n = len(examples)

@@ -38,6 +38,8 @@ class DropoutMLP(Model):
         self.num_features = int(num_features)
         self.num_classes = int(num_classes)
         self.hidden = tuple(int(h) for h in hidden)
+        if any(h < 1 for h in self.hidden):
+            raise ValidationError(f"hidden layer widths must be >= 1, got {list(self.hidden)}")
         self.dropout_rate = float(dropout_rate)
         self.learning_rate = float(learning_rate)
         self.max_steps = int(max_steps)
@@ -117,10 +119,9 @@ class DropoutMLP(Model):
     # --- Model contract ---------------------------------------------------
 
     def fit(self, examples):
-        X, y = dataset_arrays(examples)
+        X, y = dataset_arrays(examples, self.num_features)
         if len(examples) == 0:
             raise FitError("cannot train on an empty training set")
-        X = as_inputs(X, self.num_features)
         if np.any(y >= self.num_classes):
             raise FitError(f"label {y.max()} out of range for C={self.num_classes}")
         self._fit_count += 1

@@ -129,6 +129,12 @@ class TestRunCommand:
          "model (finite_hypothesis): tables must be an array of numbers"),
         ({"kind": "dirichlet", "lower": [float("nan"), -10], "upper": [10, 10]},
          "model (dirichlet): lower must be an array of finite numbers"),
+        ({"kind": "dropout_mlp", "hidden": [0]},
+         "model (dropout_mlp): hidden layer widths must be >= 1, got [0]"),
+        ({"kind": "dropout_mlp", "hidden": [8, -1]},
+         "model (dropout_mlp): hidden layer widths must be >= 1, got [8, -1]"),
+        ({"kind": "dirichlet", "bins_per_dim": 2**32},  # over the data's 2-wide box
+         "model (dirichlet): 4294967296**2 bins are more than a bin index can hold"),
     ])
     def test_bad_model_field_exit_2_writes_nothing(self, tmp_path, capsys, caplog,
                                                    model, message):
@@ -436,6 +442,11 @@ class TestScoreCommand:
          '[[0.1, 0.9], [0.3, 0.7], [0.6, 0.4]]], "prior": [NaN, 0.5]}',
          "model (finite_hypothesis): prior must be an array of finite numbers"),
         ('{"kind": []}', "unknown model.kind []"),
+        ('{"kind": "dropout_mlp", "hidden": [0]}',
+         "model (dropout_mlp): hidden layer widths must be >= 1, got [0]"),
+        (json.dumps({"kind": "dirichlet", "bins_per_dim": 20, "lower": [0] * 16,
+                     "upper": [1] * 16}),
+         "model (dirichlet): 20**16 bins are more than a bin index can hold"),
     ])
     def test_bad_model_values_exit_2(self, tmp_path, capsys, model, message):
         store, cands, targets, _ = finite_fixture_files(tmp_path)

@@ -24,7 +24,9 @@ from streamsift import (
     reweight_ensemble,
     score_pool,
 )
+from streamsift.harness import evaluate_accuracy
 from streamsift.prob import SUM_ATOL
+from streamsift.models.base import dataset_arrays
 from streamsift.models.forest import _grow_trees, _leaf_dists
 
 
@@ -303,6 +305,25 @@ class TestDirichletHistogramClassifier:
         with pytest.raises(ValidationError, match="num_samples must be >= 1"):
             DirichletHistogramClassifier(2, [0.0], [1.0], num_samples=num_samples)
 
+    @pytest.mark.parametrize("dim,bins", [(16, 20), (63, 2), (1, 2**63)])
+    def test_rejects_more_bins_than_an_index_holds(self, dim, bins):
+        """Without the check 20**16 bins fail at the first binning with numpy's
+        "invalid dims" ValueError."""
+        with pytest.raises(ValidationError,
+                           match=rf"^{bins}\*\*{dim} bins are more than a bin index can hold$"):
+            DirichletHistogramClassifier(2, np.zeros(dim), np.ones(dim), bins_per_dim=bins)
+
+    @pytest.mark.parametrize("dim,bins", [(64, 1), (62, 2)])
+    def test_bins_past_ravel_multi_index_dimension_cap(self, dim, bins):
+        """np.ravel_multi_index refuses 64 dimensions ("too many dimensions");
+        the flat index has no such cap and stays row-major."""
+        m = DirichletHistogramClassifier(2, np.zeros(dim), np.ones(dim), bins_per_dim=bins)
+        m.fit([ex(np.zeros(dim), 0), ex(np.ones(dim), 1)])
+        assert m.bin_indices(np.stack([np.zeros(dim), np.ones(dim)])).tolist() == [
+            0, bins**dim - 1]
+        assert np.allclose(m.exact_posterior_predictive(np.ones(dim)),
+                           [0.5, 0.5] if bins == 1 else [1 / 3, 2 / 3])
+
     def test_out_of_box_input(self):
         m = DirichletHistogramClassifier(2, [0.0], [1.0])
         with pytest.raises(ValidationError):
@@ -430,6 +451,13 @@ INPUT_ENTRY_POINTS = {
         lambda m, X: score_pool("epig", m, [ex(x, 0) for x in X], TargetSet(GRID2)),
     "TargetSet targets": lambda m, X: score_pool("epig", m, [ex(GRID2[0], 0)], TargetSet(X)),
 }
+# each way a list of labelled examples reaches a model's arrays
+EXAMPLE_ENTRY_POINTS = {
+    "dataset_arrays": lambda m, examples: dataset_arrays(examples, m.num_features),
+    "fit": lambda m, examples: m.fit(examples),
+    "score_pool": lambda m, examples: score_pool("epig", m, examples, TargetSet(GRID2)),
+    "evaluate_accuracy": lambda m, examples: evaluate_accuracy(m, examples),
+}
 
 
 class TestModelInputRule:
@@ -462,6 +490,26 @@ class TestModelInputRule:
     def test_fit_on_no_examples(self, kind):
         model = MODEL_KINDS[kind]().fit([])
         assert model.conditionals(GRID2).shape == (4, 3, 2)
+
+    @pytest.mark.parametrize("row, width", [(GRID2[2, :1], 1), (np.append(GRID2[2], 0.0), 3)])
+    @pytest.mark.parametrize("entry", EXAMPLE_ENTRY_POINTS)
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_rejects_examples_of_mixed_widths(self, kind, entry, row, width):
+        """Without the training-set rule numpy's stack raises its bare
+        "all input arrays must have the same shape" ValueError."""
+        examples = [ex(GRID2[0], 0), ex(GRID2[1], 1), ex(row, 0), ex(GRID2[3], 1)]
+        with pytest.raises(ValidationError,
+                           match=f"^example 2 has {width} features, but example 0 has 2$"):
+            EXAMPLE_ENTRY_POINTS[entry](self.fitted(kind), examples)
+
+    def test_training_set_arrays(self):
+        X, y = dataset_arrays([ex([0.0, 1.0], 1), ex([2.0, 3.0], 0)], width=2)
+        assert X.tolist() == [[0.0, 1.0], [2.0, 3.0]] and y.tolist() == [1, 0]
+        assert dataset_arrays([], width=3)[0].shape == (0, 3)
+        assert dataset_arrays([])[0].shape == (0, 0)
+        assert dataset_arrays([])[1].shape == (0,)
+        with pytest.raises(ValidationError, match="inputs have 2 features, but the model takes 3"):
+            dataset_arrays([ex([0.0, 1.0], 1)], width=3)
 
 
 class TestLabelledExample:
@@ -729,6 +777,14 @@ class TestDropoutMLP:
     def test_rejects_fewer_than_one_sample(self, num_samples):
         with pytest.raises(ValidationError, match="num_samples must be >= 1"):
             DropoutMLP(2, 2, num_samples=num_samples)
+
+    @pytest.mark.parametrize("hidden", [(0,), (-1,), (8, 0)])
+    def test_rejects_hidden_width_below_one(self, hidden):
+        """Without the check a width of 0 divides by zero at fit, and -1 gives
+        numpy's "negative dimensions" ValueError."""
+        with pytest.raises(ValidationError,
+                           match=r"^hidden layer widths must be >= 1, got \["):
+            DropoutMLP(2, 2, hidden=hidden)
 
     def test_empty_fit(self):
         with pytest.raises(FitError):
