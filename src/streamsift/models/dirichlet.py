@@ -19,8 +19,8 @@ class DirichletHistogramClassifier(Model):
                  num_samples=100, seed=0):
         if num_classes < 2:
             raise ValidationError("need at least 2 classes")
-        if alpha0 <= 0:
-            raise DomainError("alpha0 must be strictly positive")
+        if not 0 < alpha0 < np.inf:  # False for NaN too
+            raise DomainError(f"alpha0 must be finite and strictly positive, got {alpha0}")
         self.num_classes = int(num_classes)
         self.lower = np.atleast_1d(float_array(lower, "lower"))
         self.upper = np.atleast_1d(float_array(upper, "upper"))

@@ -36,6 +36,8 @@ class DropoutMLP(Model):
         if not 0.0 <= dropout_rate < 1.0:
             raise ValidationError("dropout rate must lie in [0, 1)")
         self.num_features = int(num_features)
+        if self.num_features < 1:
+            raise ValidationError(f"num_features must be >= 1, got {self.num_features}")
         self.num_classes = int(num_classes)
         self.hidden = tuple(int(h) for h in hidden)
         if any(h < 1 for h in self.hidden):

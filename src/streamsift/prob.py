@@ -6,6 +6,8 @@ Everything here works in natural log (nats). Probabilities below
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -17,8 +19,17 @@ SUM_ATOL = 1e-9
 #: probabilities below this are treated as exact zeros in entropy terms
 ZERO_EPS = 1e-12
 
-# bytes of the flattened joint that H(joint) reduces at a time
+# bytes of a stacked joint that the mutual information reduces at a time
 _BLOCK_BYTES = 1 << 20
+
+# CPUs this process may run on, read once: a helper thread needs a second one
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+# the one helper thread's pool, built on first use by the process in _pool_pid
+_pool = None
+_pool_pid = None
+_pool_lock = threading.Lock()
 
 
 def float_array(value, name):
@@ -148,36 +159,87 @@ def dirichlet_kl(alpha_post, alpha_prior):
     return float(kl)
 
 
+def _helper_pool():
+    """The module's one-thread pool, built on first use and again in a forked
+    child, which inherits the pool object but not its thread.
+    ``concurrent.futures`` is imported here, not with the package, so that
+    ``import streamsift`` loads nothing for it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool, _pool_pid
+    with _pool_lock:
+        if _pool is None or _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="streamsift-mi")
+            _pool_pid = os.getpid()
+        return _pool
+
+
 def mutual_information_of_array(joint):
     """Vectorized MI kernel: H(rows) + H(cols) - H(joint) on the last two axes.
 
     Values in [-1e-9, 0) are clamped to 0; anything below that indicates a
     broken joint and raises.
 
-    H(joint) is reduced over blocks of the first axis of about
-    ``_BLOCK_BYTES`` each (at least one row), so its flattened copy and
-    entropy temporaries never span the whole stack. Every entropy is a sum
-    along one contiguous row, so the values are the same bits for any block
-    size. The joint itself stays whole: a blocked einsum in ``epig_scores``
-    changes the GEMM's last bits, and with them any pick that round-off
-    decides (EPIG on an ensemble whose members all agree).
+    A stack of joints is reduced in one pass over blocks of the first axis of
+    about ``_BLOCK_BYTES`` each (at least two rows): each block's three
+    entropies are written into its slice of the result, so no marginal or
+    entropy temporary spans the whole stack. When there is more than one
+    block and the process may run on two CPUs, the calling thread and one
+    helper thread take blocks from a shared queue until it is empty. A block
+    has the whole stack's strides and, with at least two rows, its loop order
+    too, so every entropy sums its row in the same order as over the whole
+    stack; and each block writes only its own slice. So the values are the
+    same bits for any block size and whichever thread runs a block. The
+    joint itself stays whole: a blocked einsum in ``epig_scores`` changes the
+    GEMM's last bits, and with them any pick that round-off decides (EPIG on
+    an ensemble whose members all agree).
     """
     j = np.asarray(joint, dtype=float)
-    h_rows = entropy_of_array(j.sum(axis=-1))
-    h_cols = entropy_of_array(j.sum(axis=-2))
     if j.ndim == 2:
-        h_joint = entropy_of_array(j.reshape(-1))
+        mi = (entropy_of_array(j.sum(axis=-1)) + entropy_of_array(j.sum(axis=-2))
+              - entropy_of_array(j.reshape(-1)))
     else:
-        h_joint = np.empty(j.shape[:-2])
+        import queue  # with the stacked path, not with the package
+
+        mi = np.empty(j.shape[:-2])
         row_bytes = max(1, j.itemsize * math.prod(j.shape[1:]))
-        step = max(1, _BLOCK_BYTES // row_bytes)
-        for s in range(0, len(j), step):
-            blk = j[s:s + step]
-            h_joint[s:s + step] = entropy_of_array(blk.reshape(blk.shape[:-2] + (-1,)))
-    mi = h_rows + h_cols - h_joint
+        # no block of one row out of several: numpy leaves a length-1 axis
+        # out of its loop order, which can move a marginal's entropy sum onto
+        # another loop and change its bits
+        bounds = list(range(0, len(j), max(2, _BLOCK_BYTES // row_bytes))) + [len(j)]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        blocks = queue.SimpleQueue()
+        for s, e in zip(bounds, bounds[1:]):
+            blocks.put(slice(s, e))
+
+        def drain():
+            while True:
+                try:
+                    rows = blocks.get_nowait()
+                except queue.Empty:
+                    return
+                blk = j[rows]
+                mi[rows] = (entropy_of_array(blk.sum(axis=-1))
+                            + entropy_of_array(blk.sum(axis=-2))
+                            - entropy_of_array(blk.reshape(blk.shape[:-2] + (-1,))))
+
+        helper = None
+        if len(bounds) > 2 and _CPUS >= 2:
+            helper = _helper_pool().submit(drain)
+        try:
+            drain()
+        finally:
+            # a helper that never started (the pool busy with another call)
+            # is dropped; one that did is waited for, so it never writes into
+            # a returned array, and its exception re-raises here
+            if helper is not None and not helper.cancel():
+                helper.result()
     if np.any(mi < -SUM_ATOL):
         raise ValidationError(f"mutual information below -{SUM_ATOL}: min={mi.min()}")
-    return np.maximum(mi, 0.0)
+    if j.ndim == 2:
+        return np.maximum(mi, 0.0)
+    return np.maximum(mi, 0.0, out=mi)
 
 
 def mutual_information(joint):

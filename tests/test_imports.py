@@ -36,6 +36,15 @@ def test_import_loads_no_scipy():
     run_fresh(f"import sys, streamsift, streamsift.cli\n{NO_SCIPY}")
 
 
+def test_import_starts_no_thread():
+    """The mutual information's helper thread is started by its first call
+    that needs one, not by the import, which loads no thread pool or queue."""
+    run_fresh("import sys, threading, streamsift, streamsift.cli\n"
+              "assert threading.active_count() == 1, threading.enumerate()\n"
+              "loaded = [m for m in ('queue', 'concurrent.futures') if m in sys.modules]\n"
+              "assert not loaded, loaded")
+
+
 def test_score_with_forest_and_epig_loads_no_scipy(tmp_path):
     data = synth_blobs(3, 8, seed=0)
     save_csv(data[::2], tmp_path / "store.csv")

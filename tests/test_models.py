@@ -9,6 +9,7 @@ from streamsift import (
     BootstrapForest,
     DegenerateEvidenceError,
     DirichletHistogramClassifier,
+    DomainError,
     DropoutMLP,
     FiniteHypothesisModel,
     FitError,
@@ -304,6 +305,14 @@ class TestDirichletHistogramClassifier:
     def test_rejects_fewer_than_one_sample(self, num_samples):
         with pytest.raises(ValidationError, match="num_samples must be >= 1"):
             DirichletHistogramClassifier(2, [0.0], [1.0], num_samples=num_samples)
+
+    @pytest.mark.parametrize("alpha0", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_alpha0_not_finite_and_positive(self, alpha0):
+        """NaN passes an ``alpha0 <= 0`` test, and NaN or inf concentrations
+        answer NaN predictives without an error."""
+        with pytest.raises(DomainError,
+                           match="^alpha0 must be finite and strictly positive, got "):
+            DirichletHistogramClassifier(2, [0.0], [1.0], alpha0=alpha0)
 
     @pytest.mark.parametrize("dim,bins", [(16, 20), (63, 2), (1, 2**63)])
     def test_rejects_more_bins_than_an_index_holds(self, dim, bins):
@@ -785,6 +794,15 @@ class TestDropoutMLP:
         with pytest.raises(ValidationError,
                            match=r"^hidden layer widths must be >= 1, got \["):
             DropoutMLP(2, 2, hidden=hidden)
+
+    @pytest.mark.parametrize("num_features", [0, -1])
+    def test_rejects_input_width_below_one(self, num_features):
+        """Without the check an input width of 0 divides by zero at fit, in
+        the He scale of the first layer, the same failure as a hidden width
+        of 0."""
+        with pytest.raises(ValidationError,
+                           match=f"^num_features must be >= 1, got {num_features}$"):
+            DropoutMLP(num_features, 2)
 
     def test_empty_fit(self):
         with pytest.raises(FitError):

@@ -1,6 +1,11 @@
 """Property tests: vectorized kernels against the loops they replaced, and
 the CSV readers on drawn matrices."""
 
+import os
+import sys
+import threading
+from concurrent import futures
+
 import numpy as np
 import pytest
 
@@ -713,12 +718,135 @@ class TestMutualInformationKernel:
         w = rng.dirichlet(np.ones(K))
         joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, w, optimize=True)
         old = old_mutual_information_of_array(joint)
-        for budget in (1, 4096, 1 << 40):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(prob, "_BLOCK_BYTES", budget)
-                new = prob.mutual_information_of_array(joint)
-            assert_same_array(new, old)
-            assert np.array_equal(new.mean(axis=1), old.mean(axis=1))
+        for budget in (1, 4096, 1 << 20, 1 << 40):
+            for cpus in (1, 2):  # the helper thread off and on
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(prob, "_BLOCK_BYTES", budget)
+                    mp.setattr(prob, "_CPUS", cpus)
+                    new = prob.mutual_information_of_array(joint)
+                assert_same_array(new, old)
+                assert np.array_equal(new.mean(axis=1), old.mean(axis=1))
+
+    @staticmethod
+    def einsum_joint(N, seed=0):
+        rng = np.random.default_rng(seed)
+        cond_x = random_conditionals(rng, N, 5, 3)
+        cond_t = random_conditionals(rng, 7, 5, 3)
+        return np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, np.full(5, 0.2), optimize=True)
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_block_error_re_raises_in_caller(self, where, monkeypatch):
+        """Each thread's first block waits until the other thread has taken
+        one, so both run a block; the failing one raises in the caller, and
+        the next call is unharmed."""
+        joint = self.einsum_joint(20)
+        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(prob, "_CPUS", 2)
+        caller = threading.current_thread()
+        both_ran, started = threading.Barrier(2, timeout=30), set()
+        real = prob.entropy_of_array
+
+        def entropy(p, axis=-1):
+            me = threading.current_thread()
+            if me not in started:
+                started.add(me)
+                both_ran.wait()
+            if (me is caller) == (where == "caller"):
+                raise RuntimeError(f"block failed in the {where}")
+            return real(p, axis)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prob, "entropy_of_array", entropy)
+            with pytest.raises(RuntimeError, match=f"block failed in the {where}"):
+                prob.mutual_information_of_array(joint)
+        assert_same_array(prob.mutual_information_of_array(joint),
+                          old_mutual_information_of_array(joint))
+
+    @pytest.mark.parametrize("cpus, budget", [(1, 1), (2, 1 << 40)])
+    def test_one_cpu_or_one_block_starts_no_helper(self, cpus, budget, monkeypatch):
+        monkeypatch.setattr(prob, "_CPUS", cpus)
+        monkeypatch.setattr(prob, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(prob, "_helper_pool", lambda: pytest.fail("helper started"))
+        joint = self.einsum_joint(20)
+        assert_same_array(prob.mutual_information_of_array(joint),
+                          old_mutual_information_of_array(joint))
+
+    def test_busy_helper_is_not_waited_for(self, monkeypatch):
+        """With the helper held by other work, the call runs every block
+        itself and returns without waiting for that work."""
+        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(prob, "_CPUS", 2)
+        release = threading.Event()
+        busy = prob._helper_pool().submit(release.wait, 30)
+        try:
+            joint = self.einsum_joint(20)
+            assert_same_array(prob.mutual_information_of_array(joint),
+                              old_mutual_information_of_array(joint))
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result() is True
+
+    def test_concurrent_callers(self, monkeypatch):
+        """Four callers on two CPUs with a short switch interval, all racing
+        to build the pool: one pool is built, and every block of every call
+        is written once, so each result is the one-pass reference."""
+        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(prob, "_CPUS", 2)
+        monkeypatch.setattr(prob, "_pool", None)
+        built = []
+
+        class CountingPool(futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
+        joints = [self.einsum_joint(40, seed) for seed in range(4)]
+        wanted = [old_mutual_information_of_array(j) for j in joints]
+        got = [[] for _ in joints]
+
+        def call(i):
+            for _ in range(5):
+                got[i].append(prob.mutual_information_of_array(joints[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(joints))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in built:
+                pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        for results, want in zip(got, wanted):
+            assert len(results) == 5
+            for mi in results:
+                assert_same_array(mi, want)
+
+    def test_new_pool_when_the_pid_changes(self, monkeypatch):
+        """A forked child inherits the pool object but not its thread, so a
+        pool recorded under another pid is replaced."""
+        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(prob, "_CPUS", 2)
+        joint = self.einsum_joint(20)
+        before = prob.mutual_information_of_array(joint)
+        inherited = prob._pool
+        monkeypatch.setattr(prob, "_pool", inherited)  # restored afterwards
+        monkeypatch.setattr(prob, "_pool_pid", -1)
+        after = prob.mutual_information_of_array(joint)
+        rebuilt = prob._pool
+        try:
+            assert rebuilt is not inherited
+            assert prob._pool_pid == os.getpid()
+            assert_same_array(after, before)
+        finally:
+            rebuilt.shutdown()
 
     @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 4, 4)])
     def test_small_stacks_and_single_joint(self, shape):
