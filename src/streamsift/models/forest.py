@@ -16,12 +16,16 @@ are integers, so every score is exact up to the one float expression that
 computes it.
 
 Growth: the trees are grown together in blocks of at most ``_BLOCK_CELLS``
-feature x row entries, one depth level at a time. A tree searches its
-distinct bootstrap rows, each weighted by the number of times it was drawn:
-a repeated row never forms a cell, because a cell needs a change of value,
-so the weighted class counts left of each cell (integer-valued floats,
-exact) are those of a search over every drawn row. The weighted counts also
-decide ``min_leaf``, whether a node may split and its leaf distribution.
+feature x row entries, one depth level at a time. Every bootstrap is drawn
+before any block grows, so the blocks are independent: they go to
+:func:`runner.share`, which lets the calling thread and one helper thread
+grow them and returns them in block order, so each tree has the same bits
+whichever thread grows it. A tree searches its distinct bootstrap rows,
+each weighted by the number of times it was drawn: a repeated row never
+forms a cell, because a cell needs a change of value, so the weighted class
+counts left of each cell (integer-valued floats, exact) are those of a
+search over every drawn row. The weighted counts also decide ``min_leaf``,
+whether a node may split and its leaf distribution.
 ``X``'s columns are argsorted once per fit (stably), and a tree's order for
 each feature is that order filtered to its rows; rows of equal value may
 then come in another order than a per-tree sort gives, which cannot change a
@@ -29,8 +33,9 @@ cell's counts or threshold. Every open node of a level owns one contiguous
 segment of the ``(d, R)`` order array that lists its rows in ascending order
 of each feature; a stable boolean mask moves the rows of each split into its
 left, then its right child's segment, so no node sorts again. A level's
-search covers every node at once, ``_CHUNK_CELLS`` entries of the order
-array at a time: one weighted ``bincount`` counts the classes in each piece
+search covers every node at once. It marks the level's cells first, then
+takes the features in chunks of about ``_CHUNK_CELLS`` cells (at least one
+feature each): one weighted ``bincount`` counts the classes in each piece
 between consecutive boundaries (each (feature, node) segment start and each
 cell), and a running sum of the pieces, restarted at each segment start,
 gives the counts left of every cell. Finally each tree's nodes are numbered
@@ -39,14 +44,17 @@ in preorder (node, left subtree, right subtree).
 Screen: each cell with left and right counts l and r first gets
 ``G = sum(l**2) / nl + sum(r**2) / nr``, which equals ``n * (1 - score)`` in
 exact arithmetic; the sums of squares of integer counts are exact in any
-order. Only the cells with ``G >= max(G) - _SCREEN * n`` over the node's
-cells so far go on to the Gini expression, on C-contiguous (cells, C)
-counts, so each score has the bits a per-node search gives it, and the first
-lowest score by (feature, position) wins. This is exact: G and the Gini
-expression each lie within a few ulps of the same rational, so every cell
-that ties or beats the node's lowest score passes, whatever n is. A cell
-that leaves fewer than ``min_leaf`` rows (by weight) on a side gets
-``G = -inf`` and never passes.
+order. A chunk keeps only the cells with ``G >= max(G) - _SCREEN * n`` over
+the node's cells so far. Once per level, the kept cells, joined in feature
+order and screened again against each node's largest G, go on to the Gini
+expression on C-contiguous (cells, C) counts, so each score has the bits a
+per-node search gives it, and the first lowest score by (feature, position)
+wins. This is exact: G and the Gini expression each lie within a few ulps of
+the same rational, so every cell that ties or beats the node's lowest score
+passes, whatever n is. A cell that leaves fewer than ``min_leaf`` rows (by
+weight) on a side gets ``G = -inf`` and never passes. Should the kept cells
+outgrow a chunk (when many cells tie), they are cut to each node's first
+lowest cell so far, which no later cell displaces unless it scores lower.
 
 Prediction: the forest keeps all K trees' nodes in one set of packed
 arrays, tree after tree, with each tree's root offset; a child index counts
@@ -56,19 +64,21 @@ all of them sit at leaves, and gathers their leaf distributions as (K, N, C).
 """
 
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
 from ..errors import FitError, ValidationError
 from ..rng import rng_from
+from ..runner import share
 from .base import Model, as_inputs, dataset_arrays
 
 # feature x row entries of the trees grown together in one block, a tree
 # counting the larger of its draws and X's rows; bounds the block's values and
 # sort orders
 _BLOCK_CELLS = 1 << 18
-# entries of a level's order array searched at once; bounds the (cells, C)
-# class counts
+# cells (value changes) of a level searched at once, and the most cells kept
+# for the level's Gini; bounds the (cells, C) class counts
 _CHUNK_CELLS = 1 << 13
 # a cell whose G lies more than _SCREEN * n below its node's largest cannot
 # tie the node's lowest Gini score (see the module docstring)
@@ -88,6 +98,71 @@ def _gini(counts, n):
 Nodes = namedtuple("Nodes", "feature threshold left right dist")
 
 
+def _first_lowest(kept, top, total, weight):
+    """The first lowest-Gini cell of each node among the screened cells
+    ``kept``, a list of (feature, column, node, left counts, G) arrays in
+    feature order, screened again against each node's largest G ``top``;
+    returned as one such tuple, one cell per node that has one."""
+    fi, col, node, left, G = kept[0] if len(kept) == 1 else map(np.concatenate, zip(*kept))
+    n = weight[node]
+    keep = np.flatnonzero(G >= top[node] - _SCREEN * n)
+    fi, col, node, left, G, n = (a[keep] for a in (fi, col, node, left, G, n))
+    right = np.take(total, node, axis=0)
+    right -= left
+    nl = left.sum(axis=1)
+    score = (nl * _gini(left, nl) + (n - nl) * _gini(right, n - nl)) / n
+    low = np.full(len(top), np.inf)
+    np.minimum.at(low, node, score)
+    hit = np.flatnonzero(score == low[node])
+    at = np.full(len(top), fi.size)
+    np.minimum.at(at, node[hit], hit)  # the first minimum of each node
+    win = at[at < fi.size]
+    return fi[win], col[win], node[win], left[win], G[win]
+
+
+def _screen_chunk(change, order, f0, f1, y, w, start, node_of, total, weight,
+                  min_leaf, top):
+    """(feature, column, node, left counts, G) of the cells of features
+    ``f0:f1`` that pass the screen, in feature order, with ``top`` raised to
+    each node's largest G; ``change`` marks the level's cells."""
+    C = total.shape[1]
+    R = order.shape[1]
+    fi, col = np.nonzero(change[f0:f1])
+    col += 1
+    node = node_of[col]
+    o = order[f0:f1]
+    # cells are feature-major; a (feature, node) group's pieces start at its
+    # segment start and at each of its cells
+    cell = fi * R + col
+    seg = fi * R + start[node]
+    bound = np.zeros(o.size, dtype=bool)
+    bound[cell] = True
+    bound[seg] = True
+    piece = np.cumsum(bound)  # 1 + the boundaries before each entry
+    del bound
+    size = (int(piece[-1]) + 1) * C
+    at_cell, at_seg = piece[cell] - 1, piece[seg] - 1
+    piece *= C
+    piece += y[o].ravel()
+    counts = np.bincount(piece, weights=w[o].ravel(), minlength=size).reshape(-1, C)
+    del piece
+    upto = np.cumsum(counts, axis=0, out=counts)  # before each boundary
+    left = np.take(upto, at_cell, axis=0)  # (V, C)
+    left -= np.take(upto, at_seg, axis=0)
+    del counts, upto
+    right = np.take(total, node, axis=0)
+    right -= left
+    nl = left.sum(axis=1)
+    n = weight[node]
+    # G = n (1 - score) in exact arithmetic, from exact sums of squares
+    G = (np.einsum("ij,ij->i", left, left) / nl
+         + np.einsum("ij,ij->i", right, right) / (n - nl))
+    G[(nl < min_leaf) | (n - nl < min_leaf)] = -np.inf
+    np.maximum.at(top, node, G)
+    keep = np.flatnonzero((G >= top[node] - _SCREEN * n) & (G > -np.inf))
+    return f0 + fi[keep], col[keep], node[keep], left[keep], G[keep]
+
+
 def _best_splits(xt, y, w, order, start, node_of, can_split, total, weight,
                  min_leaf):
     """(feature, column) of each node's lowest-Gini cell, feature -1 where
@@ -96,61 +171,40 @@ def _best_splits(xt, y, w, order, start, node_of, can_split, total, weight,
     ``start``, ``node_of`` is the node of each column, ``w`` each row's
     multiplicity, and ``total`` and ``weight`` the nodes' weighted (J, C)
     class counts and sizes."""
-    J, C = total.shape
-    d, R = order.shape
-    ok = can_split[node_of]
-    ok[start] = False  # no cell before a segment's first row
-    best = np.full(J, np.inf)
-    top = np.full(J, -np.inf)  # the largest G of each node so far
+    J = total.shape[0]
+    d = order.shape[0]
     feat = np.full(J, -1)
     column = np.zeros(J, dtype=np.intp)
+    ok = can_split[node_of]
+    ok[start] = False  # no cell before a segment's first row
     if not ok.any():
         return feat, column
-    flat = xt.ravel()
-    step = max(1, _CHUNK_CELLS // R)
-    for f0 in range(0, d, step):
-        o = order[f0:f0 + step]
-        xs = flat.take(o + (np.arange(f0, f0 + len(o)) * xt.shape[1])[:, None])
-        fi, col = np.nonzero((xs[:, 1:] > xs[:, :-1]) & ok[1:])
-        if fi.size == 0:
-            continue
-        col += 1
-        node = node_of[col]
-        # cells are feature-major; a (feature, node) group's pieces start at
-        # its segment start and at each of its cells
-        cell = fi * R + col
-        seg = fi * R + start[node]
-        bound = np.zeros(o.size, dtype=bool)
-        bound[cell] = True
-        bound[seg] = True
-        piece = np.cumsum(bound)  # 1 + the boundaries before each entry
-        counts = np.bincount(piece * C + y[o].ravel(), weights=w[o].ravel(),
-                             minlength=(piece[-1] + 1) * C)
-        upto = np.cumsum(counts.reshape(-1, C), axis=0)  # before each boundary
-        left = np.take(upto, piece[cell] - 1, axis=0)  # (V, C)
-        left -= np.take(upto, piece[seg] - 1, axis=0)
-        right = np.take(total, node, axis=0)
-        right -= left
-        nl = left.sum(axis=1)
-        n = weight[node]
-        # G = n (1 - score) in exact arithmetic, from exact sums of squares
-        G = (np.einsum("ij,ij->i", left, left) / nl
-             + np.einsum("ij,ij->i", right, right) / (n - nl))
-        G[(nl < min_leaf) | (n - nl < min_leaf)] = -np.inf
-        np.maximum.at(top, node, G)
-        keep = np.flatnonzero((G >= top[node] - _SCREEN * n) & (G > -np.inf))
-        fi, col, node, left, right, nl, n = (
-            a[keep] for a in (fi, col, node, left, right, nl, n))
-        score = (nl * _gini(left, nl) + (n - nl) * _gini(right, n - nl)) / n
-        low = np.full(J, np.inf)
-        np.minimum.at(low, node, score)
-        hit = np.flatnonzero(score == low[node])
-        at = np.full(J, fi.size)
-        np.minimum.at(at, node[hit], hit)  # the first minimum of each node
-        better = np.flatnonzero(low < best)  # an earlier chunk keeps a tie
-        best[better] = low[better]
-        feat[better] = f0 + fi[at[better]]
-        column[better] = col[at[better]]
+    # the level's cells: where a feature's sorted values rise within a node
+    # that may split; the sorted values are dropped once the mask is built
+    xs = xt[np.arange(d)[:, None], order]
+    change = xs[:, 1:] > xs[:, :-1]
+    del xs
+    change &= ok[1:]
+    ends = np.cumsum(np.count_nonzero(change, axis=1))  # cells up to each feature's end
+    top = np.full(J, -np.inf)  # the largest G of each node so far
+    kept, num_kept = [], 0  # the cells that passed the screen, in feature order
+    f0 = 0
+    while f0 < d:
+        # the features whose cells fit in one chunk, and at least one
+        done = ends[f0 - 1] if f0 else 0
+        f1 = max(f0 + 1, int(np.searchsorted(ends, done + _CHUNK_CELLS, "right")))
+        if ends[f1 - 1] > done:
+            kept.append(_screen_chunk(change, order, f0, f1, y, w, start, node_of,
+                                      total, weight, min_leaf, top))
+            num_kept += kept[-1][0].size
+        if num_kept > _CHUNK_CELLS:  # all but each node's first lowest cell go
+            kept = [_first_lowest(kept, top, total, weight)]
+            num_kept = kept[0][0].size
+        f0 = f1
+    if num_kept:
+        fi, col, node, _, _ = _first_lowest(kept, top, total, weight)
+        feat[node] = fi
+        column[node] = col
     return feat, column
 
 
@@ -170,7 +224,7 @@ def _grow_block(XT, y, presort, boots, num_classes, max_depth, min_leaf, beta):
     yb = y[ids]
     # each (tree, row) pair's column in the block, -1 where the tree never drew it
     local = np.where(present, np.cumsum(present) - 1, -1)
-    order = local[presort[:, None, :] + (np.arange(B) * N)[:, None]]  # (d, B, N)
+    order = np.take(local.reshape(B, N), presort, axis=1).transpose(1, 0, 2)  # (d, B, N)
     order = order[order >= 0].reshape(d, ids.size)
     rows = np.arange(ids.size)
     size = present.reshape(B, N).sum(axis=1)
@@ -264,8 +318,9 @@ def _grow_trees(X, y, boots, num_classes, max_depth, min_leaf, beta):
     XT = np.ascontiguousarray(X.T)
     presort = np.argsort(XT, axis=1, kind="stable")
     per_block = max(1, _BLOCK_CELLS // max(1, XT.shape[0] * max(n, XT.shape[1])))
-    blocks = [_grow_block(XT, y, presort, boots[b:b + per_block], num_classes,
-                          max_depth, min_leaf, beta) for b in range(0, K, per_block)]
+    blocks = share([partial(_grow_block, XT, y, presort, boots[b:b + per_block],
+                            num_classes, max_depth, min_leaf, beta)
+                    for b in range(0, K, per_block)])
     sizes = [len(nodes.feature) for nodes, _ in blocks]
     shifts = np.cumsum(sizes) - sizes
     roots = np.concatenate([r + s for (_, r), s in zip(blocks, shifts)])
@@ -294,8 +349,10 @@ class BootstrapForest(Model):
             raise ValidationError("need at least 2 classes")
         if num_trees < 1:
             raise ValidationError("num_trees must be >= 1")
-        if beta <= 0:
-            raise ValidationError("leaf smoothing beta must be positive")
+        if max_depth < 0:
+            raise ValidationError(f"max_depth must be >= 0, got {max_depth}")
+        if not 0 < beta < np.inf:  # False for NaN too
+            raise ValidationError(f"leaf smoothing beta must be positive and finite, got {beta}")
         if min_leaf < 1:
             raise ValidationError("min_leaf must be >= 1")
         self.num_classes = int(num_classes)

@@ -6,12 +6,12 @@ Everything here works in natural log (nats). Probabilities below
 """
 
 import math
-import os
-import threading
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .runner import share
 
 #: absolute tolerance for probability sums and per-entry checks
 SUM_ATOL = 1e-9
@@ -21,15 +21,6 @@ ZERO_EPS = 1e-12
 
 # bytes of a stacked joint that the mutual information reduces at a time
 _BLOCK_BYTES = 1 << 20
-
-# CPUs this process may run on, read once: a helper thread needs a second one
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-
-# the one helper thread's pool, built on first use by the process in _pool_pid
-_pool = None
-_pool_pid = None
-_pool_lock = threading.Lock()
 
 
 def float_array(value, name):
@@ -159,21 +150,6 @@ def dirichlet_kl(alpha_post, alpha_prior):
     return float(kl)
 
 
-def _helper_pool():
-    """The module's one-thread pool, built on first use and again in a forked
-    child, which inherits the pool object but not its thread.
-    ``concurrent.futures`` is imported here, not with the package, so that
-    ``import streamsift`` loads nothing for it."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool, _pool_pid
-    with _pool_lock:
-        if _pool is None or _pool_pid != os.getpid():
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="streamsift-mi")
-            _pool_pid = os.getpid()
-        return _pool
-
-
 def mutual_information_of_array(joint):
     """Vectorized MI kernel: H(rows) + H(cols) - H(joint) on the last two axes.
 
@@ -183,13 +159,12 @@ def mutual_information_of_array(joint):
     A stack of joints is reduced in one pass over blocks of the first axis of
     about ``_BLOCK_BYTES`` each (at least two rows): each block's three
     entropies are written into its slice of the result, so no marginal or
-    entropy temporary spans the whole stack. When there is more than one
-    block and the process may run on two CPUs, the calling thread and one
-    helper thread take blocks from a shared queue until it is empty. A block
-    has the whole stack's strides and, with at least two rows, its loop order
-    too, so every entropy sums its row in the same order as over the whole
-    stack; and each block writes only its own slice. So the values are the
-    same bits for any block size and whichever thread runs a block. The
+    entropy temporary spans the whole stack. The blocks go to
+    :func:`runner.share`, which may run some of them on its helper thread. A
+    block has the whole stack's strides and, with at least two rows, its
+    loop order too, so every entropy sums its row in the same order as over
+    the whole stack; and each block writes only its own slice. So the values
+    are the same bits for any block size and whichever thread runs a block. The
     joint itself stays whole: a blocked einsum in ``epig_scores`` changes the
     GEMM's last bits, and with them any pick that round-off decides (EPIG on
     an ensemble whose members all agree).
@@ -199,8 +174,6 @@ def mutual_information_of_array(joint):
         mi = (entropy_of_array(j.sum(axis=-1)) + entropy_of_array(j.sum(axis=-2))
               - entropy_of_array(j.reshape(-1)))
     else:
-        import queue  # with the stacked path, not with the package
-
         mi = np.empty(j.shape[:-2])
         row_bytes = max(1, j.itemsize * math.prod(j.shape[1:]))
         # no block of one row out of several: numpy leaves a length-1 axis
@@ -209,32 +182,14 @@ def mutual_information_of_array(joint):
         bounds = list(range(0, len(j), max(2, _BLOCK_BYTES // row_bytes))) + [len(j)]
         if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
             del bounds[-2]
-        blocks = queue.SimpleQueue()
-        for s, e in zip(bounds, bounds[1:]):
-            blocks.put(slice(s, e))
 
-        def drain():
-            while True:
-                try:
-                    rows = blocks.get_nowait()
-                except queue.Empty:
-                    return
-                blk = j[rows]
-                mi[rows] = (entropy_of_array(blk.sum(axis=-1))
-                            + entropy_of_array(blk.sum(axis=-2))
-                            - entropy_of_array(blk.reshape(blk.shape[:-2] + (-1,))))
+        def reduce_block(rows):
+            blk = j[rows]
+            mi[rows] = (entropy_of_array(blk.sum(axis=-1))
+                        + entropy_of_array(blk.sum(axis=-2))
+                        - entropy_of_array(blk.reshape(blk.shape[:-2] + (-1,))))
 
-        helper = None
-        if len(bounds) > 2 and _CPUS >= 2:
-            helper = _helper_pool().submit(drain)
-        try:
-            drain()
-        finally:
-            # a helper that never started (the pool busy with another call)
-            # is dropped; one that did is waited for, so it never writes into
-            # a returned array, and its exception re-raises here
-            if helper is not None and not helper.cancel():
-                helper.result()
+        share([partial(reduce_block, slice(s, e)) for s, e in zip(bounds, bounds[1:])])
     if np.any(mi < -SUM_ATOL):
         raise ValidationError(f"mutual information below -{SUM_ATOL}: min={mi.min()}")
     if j.ndim == 2:

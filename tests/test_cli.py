@@ -122,6 +122,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("model,message", [
         ({"kind": "forest", "min_leaf": 0}, "model (forest): min_leaf must be >= 1"),
         ({"kind": "forest", "min_leaf": "x"}, "model.min_leaf must be an integer"),
+        ({"kind": "forest", "max_depth": -3}, "model (forest): max_depth must be >= 0, got -3"),
+        ({"kind": "forest", "beta": float("nan")}, "model.beta must be a finite number, got nan"),
         ({"kind": "dropout_mlp", "hidden": [8, "x"]}, "model.hidden[1] must be an integer"),
         ({"kind": "dirichlet", "lower": ["x", 0], "upper": [1, 1]},
          "model (dirichlet): lower must be an array of numbers"),
@@ -442,6 +444,8 @@ class TestScoreCommand:
          '[[0.1, 0.9], [0.3, 0.7], [0.6, 0.4]]], "prior": [NaN, 0.5]}',
          "model (finite_hypothesis): prior must be an array of finite numbers"),
         ('{"kind": []}', "unknown model.kind []"),
+        ('{"kind": "forest", "max_depth": -3}', "model (forest): max_depth must be >= 0, got -3"),
+        ('{"kind": "forest", "beta": Infinity}', "model.beta must be a finite number, got inf"),
         ('{"kind": "dropout_mlp", "hidden": [0]}',
          "model (dropout_mlp): hidden layer widths must be >= 1, got [0]"),
         (json.dumps({"kind": "dirichlet", "bins_per_dim": 20, "lower": [0] * 16,

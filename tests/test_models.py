@@ -28,6 +28,7 @@ from streamsift import (
 from streamsift.harness import evaluate_accuracy
 from streamsift.prob import SUM_ATOL
 from streamsift.models.base import dataset_arrays
+from streamsift.models import forest
 from streamsift.models.forest import _grow_trees, _leaf_dists
 
 
@@ -600,6 +601,20 @@ class TestBootstrapForest:
         with pytest.raises(ValidationError, match="num_trees must be >= 1"):
             BootstrapForest(2, num_trees=num_trees)
 
+    @pytest.mark.parametrize("max_depth", [-1, -3])
+    def test_rejects_negative_max_depth(self, max_depth):
+        """A negative depth used to grow single-leaf trees, as depth 0 does."""
+        with pytest.raises(ValidationError, match=f"^max_depth must be >= 0, got {max_depth}$"):
+            BootstrapForest(2, max_depth=max_depth)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_beta_not_finite_and_positive(self, beta):
+        """NaN passes a ``beta <= 0`` test, and a NaN or inf beta makes every
+        leaf distribution NaN."""
+        with pytest.raises(ValidationError,
+                           match="^leaf smoothing beta must be positive and finite, got "):
+            BootstrapForest(2, beta=beta)
+
     def test_fit_memory_at_harness_shape(self):
         """32 trees at n=500, d=16, C=10 grow in one block; the level search
         runs in chunks, so the peak stays near 10 MB."""
@@ -616,6 +631,35 @@ class TestBootstrapForest:
             tracemalloc.stop()
         assert len(m.trees) == 32
         assert peak < 16 * 2**20
+
+    def test_level_search_memory_on_all_tie_data(self):
+        """Rows 2k and 2k+1 share the value k and hold one label of each
+        class, in every feature: every cell of the root leaves half of each
+        side to each class, so every cell of every feature ties and passes
+        the screen. Beyond the level's (d, R) sorted values and change mask,
+        the search holds less than 4 MiB at any d, because it keeps only each
+        node's first lowest cell once the screened cells outgrow a chunk; at
+        d=1024 the 261k screened cells alone would hold 12 MiB."""
+        import tracemalloc
+
+        C, R = 2, 512
+        y = np.arange(R) % C
+        total = np.bincount(y, minlength=C)[None, :].astype(float)
+        for d in (64, 1024):
+            xt = np.repeat((np.arange(R) // C).astype(float)[None, :], d, axis=0)
+            order = np.argsort(xt, axis=1, kind="stable")
+            tracemalloc.start()
+            try:
+                feat, column = forest._best_splits(
+                    xt, y, np.ones(R), order, np.zeros(1, dtype=np.intp),
+                    np.zeros(R, dtype=np.intp), np.ones(1, dtype=bool), total,
+                    total.sum(axis=1), 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # ties go to the lowest feature, then the lowest threshold
+            assert (feat.tolist(), column.tolist()) == ([0], [C])
+            assert peak - xt.size * (8 + 1) < 4 * 2**20
 
     def test_fit_memory_at_mnist_shape(self, mnist_like):
         """One tree at n=300, d=784, C=10: a block of one tree, searched in

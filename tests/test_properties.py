@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 from concurrent import futures
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from streamsift import (
     load_csv,
     prob,
     reweight_ensemble,
+    runner,
     save_csv,
 )
 from streamsift.acquisition import epig_scores, la_epig_scores, mic_scores
@@ -538,6 +540,15 @@ def assert_same_forest(X, y, num_classes, max_depth, min_leaf, num_trees, seed,
             assert np.array_equal(getattr(tree, name), getattr(old, name)), name
 
 
+def assert_same_trees(nodes, roots, olds):
+    """Each packed tree of ``nodes`` equals its oracle tree in ``olds``."""
+    assert len(roots) == len(olds)
+    ends = np.append(roots[1:], len(nodes.feature))
+    for old, a, b in zip(olds, roots, ends):
+        for name in NODE_ARRAYS:
+            assert np.array_equal(getattr(nodes, name)[a:b], getattr(old, name)), name
+
+
 def awkward_data(rng, n, d, C):
     """Quantised values (ties everywhere), some constant columns, some
     classes absent, signed zeros and a value scale from tiny to huge."""
@@ -565,23 +576,30 @@ class TestForestSplitSearch:
            st.sampled_from([1, 50, 1 << 40]))
     def test_forest_matches_presorted_oracle(self, seed, n, d, C, min_leaf, max_depth,
                                              K, block, chunk):
-        """Blocks of one tree, of a few and of all K; searches of one feature
-        row at a time, of a few and of the whole level."""
+        """Blocks of one tree, of a few and of all K; chunks of one cell (at
+        least one feature), of a few and of the whole level; the blocks
+        grown by the caller alone and shared with the helper thread."""
         X, y = awkward_data(np.random.default_rng(seed), n, d, C)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(forest, "_BLOCK_CELLS", block)
-            mp.setattr(forest, "_CHUNK_CELLS", chunk)
-            assert_same_forest(X, y, C, max_depth, min_leaf, K, seed % 1000)
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(forest, "_BLOCK_CELLS", block)
+                mp.setattr(forest, "_CHUNK_CELLS", chunk)
+                mp.setattr(runner, "_CPUS", cpus)
+                assert_same_forest(X, y, C, max_depth, min_leaf, K, seed % 1000)
 
     def test_mnist_like_single_tree(self, mnist_like):
         X, y = mnist_like
         assert_same_tree(X, y, 10, max_depth=10, min_leaf=1, beta=0.05)
 
-    @pytest.mark.parametrize("block", [1, 1 << 30])
-    def test_mnist_like_forest(self, mnist_like, block):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("block, chunk", [(1, 1 << 13), (1, 1), (1 << 30, 1 << 13),
+                                              (1 << 30, 1 << 40)])
+    def test_mnist_like_forest(self, mnist_like, block, chunk, cpus):
         X, y = mnist_like
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forest, "_BLOCK_CELLS", block)
+            mp.setattr(forest, "_CHUNK_CELLS", chunk)
+            mp.setattr(runner, "_CPUS", cpus)
             assert_same_forest(X, y, 10, max_depth=10, min_leaf=1, num_trees=3,
                                seed=7, beta=0.05)
 
@@ -609,12 +627,13 @@ class TestForestSplitSearch:
             boots.append(rng.permutation(np.repeat(rng.choice(n, size=k, replace=False),
                                                    counts)))
         boots = np.stack(boots)
-        nodes, roots = forest._grow_trees(X, y, boots, C, max_depth, min_leaf, 0.5)
-        ends = np.append(roots[1:], len(nodes.feature))
-        for idx, a, b in zip(boots, roots, ends):
-            old = PresortTree(C, max_depth, min_leaf, 0.5).fit(X[idx], y[idx])
-            for name in NODE_ARRAYS:
-                assert np.array_equal(getattr(nodes, name)[a:b], getattr(old, name)), name
+        olds = [PresortTree(C, max_depth, min_leaf, 0.5).fit(X[idx], y[idx]) for idx in boots]
+        for block, cpus in ((1 << 40, 1), (1, 2)):  # one block; a block per tree, shared
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(forest, "_BLOCK_CELLS", block)
+                mp.setattr(runner, "_CPUS", cpus)
+                nodes, roots = forest._grow_trees(X, y, boots, C, max_depth, min_leaf, 0.5)
+            assert_same_trees(nodes, roots, olds)
 
     def test_screen_keeps_exact_ties(self):
         """Rows 0..m-1 carry labels s, rows m..2m-1 the labels s with two
@@ -722,131 +741,10 @@ class TestMutualInformationKernel:
             for cpus in (1, 2):  # the helper thread off and on
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(prob, "_BLOCK_BYTES", budget)
-                    mp.setattr(prob, "_CPUS", cpus)
+                    mp.setattr(runner, "_CPUS", cpus)
                     new = prob.mutual_information_of_array(joint)
                 assert_same_array(new, old)
                 assert np.array_equal(new.mean(axis=1), old.mean(axis=1))
-
-    @staticmethod
-    def einsum_joint(N, seed=0):
-        rng = np.random.default_rng(seed)
-        cond_x = random_conditionals(rng, N, 5, 3)
-        cond_t = random_conditionals(rng, 7, 5, 3)
-        return np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, np.full(5, 0.2), optimize=True)
-
-    @pytest.mark.parametrize("where", ["caller", "helper"])
-    def test_block_error_re_raises_in_caller(self, where, monkeypatch):
-        """Each thread's first block waits until the other thread has taken
-        one, so both run a block; the failing one raises in the caller, and
-        the next call is unharmed."""
-        joint = self.einsum_joint(20)
-        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
-        monkeypatch.setattr(prob, "_CPUS", 2)
-        caller = threading.current_thread()
-        both_ran, started = threading.Barrier(2, timeout=30), set()
-        real = prob.entropy_of_array
-
-        def entropy(p, axis=-1):
-            me = threading.current_thread()
-            if me not in started:
-                started.add(me)
-                both_ran.wait()
-            if (me is caller) == (where == "caller"):
-                raise RuntimeError(f"block failed in the {where}")
-            return real(p, axis)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prob, "entropy_of_array", entropy)
-            with pytest.raises(RuntimeError, match=f"block failed in the {where}"):
-                prob.mutual_information_of_array(joint)
-        assert_same_array(prob.mutual_information_of_array(joint),
-                          old_mutual_information_of_array(joint))
-
-    @pytest.mark.parametrize("cpus, budget", [(1, 1), (2, 1 << 40)])
-    def test_one_cpu_or_one_block_starts_no_helper(self, cpus, budget, monkeypatch):
-        monkeypatch.setattr(prob, "_CPUS", cpus)
-        monkeypatch.setattr(prob, "_BLOCK_BYTES", budget)
-        monkeypatch.setattr(prob, "_helper_pool", lambda: pytest.fail("helper started"))
-        joint = self.einsum_joint(20)
-        assert_same_array(prob.mutual_information_of_array(joint),
-                          old_mutual_information_of_array(joint))
-
-    def test_busy_helper_is_not_waited_for(self, monkeypatch):
-        """With the helper held by other work, the call runs every block
-        itself and returns without waiting for that work."""
-        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
-        monkeypatch.setattr(prob, "_CPUS", 2)
-        release = threading.Event()
-        busy = prob._helper_pool().submit(release.wait, 30)
-        try:
-            joint = self.einsum_joint(20)
-            assert_same_array(prob.mutual_information_of_array(joint),
-                              old_mutual_information_of_array(joint))
-            assert not busy.done()
-        finally:
-            release.set()
-        assert busy.result() is True
-
-    def test_concurrent_callers(self, monkeypatch):
-        """Four callers on two CPUs with a short switch interval, all racing
-        to build the pool: one pool is built, and every block of every call
-        is written once, so each result is the one-pass reference."""
-        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
-        monkeypatch.setattr(prob, "_CPUS", 2)
-        monkeypatch.setattr(prob, "_pool", None)
-        built = []
-
-        class CountingPool(futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
-        joints = [self.einsum_joint(40, seed) for seed in range(4)]
-        wanted = [old_mutual_information_of_array(j) for j in joints]
-        got = [[] for _ in joints]
-
-        def call(i):
-            for _ in range(5):
-                got[i].append(prob.mutual_information_of_array(joints[i]))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(joints))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-            for pool in built:
-                pool.shutdown()
-        assert not any(t.is_alive() for t in threads)
-        assert len(built) == 1
-        for results, want in zip(got, wanted):
-            assert len(results) == 5
-            for mi in results:
-                assert_same_array(mi, want)
-
-    def test_new_pool_when_the_pid_changes(self, monkeypatch):
-        """A forked child inherits the pool object but not its thread, so a
-        pool recorded under another pid is replaced."""
-        monkeypatch.setattr(prob, "_BLOCK_BYTES", 1)
-        monkeypatch.setattr(prob, "_CPUS", 2)
-        joint = self.einsum_joint(20)
-        before = prob.mutual_information_of_array(joint)
-        inherited = prob._pool
-        monkeypatch.setattr(prob, "_pool", inherited)  # restored afterwards
-        monkeypatch.setattr(prob, "_pool_pid", -1)
-        after = prob.mutual_information_of_array(joint)
-        rebuilt = prob._pool
-        try:
-            assert rebuilt is not inherited
-            assert prob._pool_pid == os.getpid()
-            assert_same_array(after, before)
-        finally:
-            rebuilt.shutdown()
 
     @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 4, 4)])
     def test_small_stacks_and_single_joint(self, shape):
@@ -882,6 +780,195 @@ class TestMutualInformationKernel:
         targets = TargetSet(rng.normal(size=(128, 4)))
         assert np.array_equal(epig_scores(model, candidates, targets),
                               old_epig_scores(model, candidates, targets))
+
+
+# --- the block runner shared by the mutual information and the forest --------
+
+
+def einsum_joint(N, seed=0):
+    rng = np.random.default_rng(seed)
+    cond_x = random_conditionals(rng, N, 5, 3)
+    cond_t = random_conditionals(rng, 7, 5, 3)
+    return np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, np.full(5, 0.2), optimize=True)
+
+
+def mi_case(mp, seed=0, N=20, one_block=False):
+    """A mutual information of many blocks (or one), with a check of its
+    result against the one-pass reference."""
+    mp.setattr(prob, "_BLOCK_BYTES", 1 << 40 if one_block else 1)
+    joint = einsum_joint(N, seed)
+    want = old_mutual_information_of_array(joint)
+    return (lambda: prob.mutual_information_of_array(joint),
+            lambda got: assert_same_array(got, want))
+
+
+def forest_case(mp, seed=0, K=6, one_block=False):
+    """A forest fit of one block per tree (or one block), with a check of
+    every tree against the presorted oracle."""
+    mp.setattr(forest, "_BLOCK_CELLS", 1 << 40 if one_block else 1)
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(40, 5)), 1)
+    y = rng.integers(0, 4, size=40)
+    boots = rng.integers(0, 40, size=(K, 40))
+    olds = [PresortTree(4, 6, 1, 0.5).fit(X[idx], y[idx]) for idx in boots]
+    return (lambda: forest._grow_trees(X, y, boots, 4, 6, 1, 0.5),
+            lambda got: assert_same_trees(*got, olds))
+
+
+CASES = {"mi": (prob, mi_case), "forest": (forest, forest_case)}
+
+
+class TestBlockRunner:
+    """``runner.share`` through both of its users: the blocks of the mutual
+    information and the tree blocks of the forest."""
+
+    @pytest.mark.parametrize("user", CASES)
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_block_error_re_raises_in_caller(self, user, where, monkeypatch):
+        """Each thread's first block waits until the other thread has taken
+        one, so both run a block; the failing one raises in the caller, and
+        the next call is unharmed."""
+        module, case = CASES[user]
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        call, check = case(monkeypatch)
+        caller = threading.current_thread()
+        both_ran, started = threading.Barrier(2, timeout=30), set()
+
+        def failing(task):
+            def run():
+                me = threading.current_thread()
+                if me not in started:
+                    started.add(me)
+                    both_ran.wait()
+                if (me is caller) == (where == "caller"):
+                    raise RuntimeError(f"block failed in the {where}")
+                return task()
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "share", lambda tasks: runner.share(map(failing, tasks)))
+            with pytest.raises(RuntimeError, match=f"block failed in the {where}"):
+                call()
+        check(call())
+
+    @pytest.mark.parametrize("user", CASES)
+    @pytest.mark.parametrize("cpus, one_block", [(1, False), (2, True)])
+    def test_one_cpu_or_one_block_starts_no_helper(self, user, cpus, one_block,
+                                                   monkeypatch):
+        monkeypatch.setattr(runner, "_CPUS", cpus)
+        monkeypatch.setattr(runner, "_helper_pool", lambda: pytest.fail("helper started"))
+        call, check = CASES[user][1](monkeypatch, one_block=one_block)
+        check(call())
+
+    @pytest.mark.parametrize("user", CASES)
+    def test_busy_helper_is_not_waited_for(self, user, monkeypatch):
+        """With the helper held by other work, the call runs every block
+        itself and returns without waiting for that work."""
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        call, check = CASES[user][1](monkeypatch)
+        release = threading.Event()
+        busy = runner._helper_pool().submit(release.wait, 30)
+        try:
+            check(call())
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result() is True
+
+    @pytest.mark.parametrize("user", CASES)
+    def test_concurrent_callers(self, user, monkeypatch):
+        """Four callers on two CPUs with a short switch interval, all racing
+        to build the pool: one pool is built, and every block of every call
+        is run once, so each result is the reference."""
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        monkeypatch.setattr(runner, "_pool", None)
+        built = []
+
+        class CountingPool(futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
+        cases = [CASES[user][1](monkeypatch, seed=seed) for seed in range(4)]
+        got = [[] for _ in cases]
+
+        def call(i):
+            for _ in range(5):
+                got[i].append(cases[i][0]())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in built:
+                pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        for results, (_, check) in zip(got, cases):
+            assert len(results) == 5
+            for result in results:
+                check(result)
+
+    @pytest.mark.parametrize("user", CASES)
+    def test_new_pool_when_the_pid_changes(self, user, monkeypatch):
+        """A forked child inherits the pool object but not its thread, so a
+        pool recorded under another pid is replaced."""
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        call, check = CASES[user][1](monkeypatch)
+        check(call())
+        inherited = runner._helper_pool()
+        monkeypatch.setattr(runner, "_pool", inherited)  # restored afterwards
+        monkeypatch.setattr(runner, "_pool_pid", -1)
+        result = call()
+        rebuilt = runner._pool
+        try:
+            assert rebuilt is not inherited
+            assert runner._pool_pid == os.getpid()
+            check(result)
+        finally:
+            rebuilt.shutdown()
+
+    def test_failure_stops_the_other_thread(self, monkeypatch):
+        """The helper's first task fails while the caller's first task runs;
+        the caller's task returns only once the helper has stopped (a probe
+        behind it on the one-thread pool has run), and then finds no task
+        left, so of ten tasks two run."""
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        caller = threading.current_thread()
+        both_ran, ran = threading.Barrier(2, timeout=30), []
+
+        def task():
+            ran.append(threading.current_thread())
+            if len(ran) <= 2:
+                both_ran.wait()
+                if threading.current_thread() is not caller:
+                    raise RuntimeError("block failed in the helper")
+                runner._helper_pool().submit(int).result(timeout=30)
+
+        with pytest.raises(RuntimeError, match="block failed in the helper"):
+            runner.share([task] * 10)
+        assert len(ran) == 2
+
+    def test_results_in_task_order(self, monkeypatch):
+        """Tasks that finish out of order still return in task order."""
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        first_done = threading.Event()
+
+        def task(i):
+            if i == 0:
+                first_done.wait(30)  # task 0 ends after some later task has
+            elif not first_done.is_set():
+                first_done.set()
+            return i
+
+        assert runner.share([partial(task, i) for i in range(6)]) == list(range(6))
 
 
 # --- CSV readers -------------------------------------------------------------
