@@ -12,6 +12,14 @@ label): its per-target value is the mutual information of that joint, which
 makes EPIG non-negative by construction and ties it to LA-EPIG through
 EPIG(x) = sum_c p(y=c|x) * LA-EPIG(x, c).
 
+EPIG and LA-EPIG score the candidates in blocks, so their memory does not
+grow with the pool. The blocks are the fewest even ones whose per-candidate
+arrays fit ``_JOINT_BYTES`` (32 MiB): EPIG's (M, C, C) joint, and LA-EPIG's
+(M, C) updated predictives with the entropy's buffer of the same size. The
+conditionals are computed once per call. A pool that fits one block runs
+one expression over all its candidates; more blocks can move the BLAS
+product's last bits, since its summation order follows the block's shape.
+
 MIC needs only the observed label's mass after the update. Sample-based
 models give it as E_w[lik^2] / E_w[lik], not as the updated weights times
 lik: the two agree in exact arithmetic, but round-off decides forest MIC
@@ -30,6 +38,9 @@ from .rng import rng_from
 
 OBJECTIVES = ("random", "mic", "epig", "la_epig", "rho_loss")
 TARGET_OBJECTIVES = ("epig", "la_epig")  # the objectives that score against targets
+
+# bytes of the per-candidate arrays that EPIG and LA-EPIG build per block
+_JOINT_BYTES = 32 << 20
 
 
 class TargetSet:
@@ -56,13 +67,28 @@ class AcquisitionScore:
 # --- batched kernels (return one score per candidate row) -----------------
 
 
+def _candidate_blocks(n, row_bytes):
+    """Slices that cut ``n`` candidates into the fewest even blocks whose
+    ``row_bytes`` per candidate fit ``_JOINT_BYTES``; one candidate per block
+    when one alone does not fit. Even, so that the blocks differ by at most
+    one row: einsum picks its contraction by its operands' shapes."""
+    count = max(1, -(-n // max(1, _JOINT_BYTES // row_bytes)))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(s, e) for s, e in zip(bounds, bounds[1:])]
+
+
 def epig_scores(model, X, targets):
     """EPIG for a batch of candidate inputs, shape (N,)."""
     cond_x, w = model.conditionals(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
-    joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, w, optimize=True)
-    mi = mutual_information_of_array(joint)  # (N, M), clamped inside
-    return mi.mean(axis=1)
+    M, _, C = cond_t.shape
+    scores = np.empty(len(cond_x))
+    for rows in _candidate_blocks(len(cond_x), M * C * C * 8):
+        # one expression, so that no block's joint outlives its reduction
+        scores[rows] = mutual_information_of_array(  # (rows, M), clamped inside
+            np.einsum("nkc,mkd,k->nmcd", cond_x[rows], cond_t, w, optimize=True)
+        ).mean(axis=1)
+    return scores
 
 
 def la_epig_scores(model, X, y, targets):
@@ -74,10 +100,15 @@ def la_epig_scores(model, X, y, targets):
     h_prior = entropy_of_array(prior).mean()
 
     evidence, w_post = add_one_in(w, cond_x[np.arange(len(y)), :, y])
-    # (N, M, C) as one BLAS matmul over the flattened (target, class) axis
     M, K, C = cond_t.shape
-    updated = (w_post @ cond_t.transpose(1, 0, 2).reshape(K, M * C)).reshape(-1, M, C)
-    h_post = entropy_of_array(updated).mean(axis=1)  # (N,)
+    flat_t = cond_t.transpose(1, 0, 2).reshape(K, M * C)
+    h_post = np.empty(len(y))
+    # a row holds `updated` and the entropy's buffer of its size
+    for rows in _candidate_blocks(len(y), 2 * M * C * 8):
+        # `updated`, (rows, M, C), as one BLAS matmul over the flattened
+        # (target, class) axis, in one expression like EPIG's joint
+        h_post[rows] = entropy_of_array(
+            (w_post[rows] @ flat_t).reshape(-1, M, C)).mean(axis=1)
     scores = h_prior - h_post
     scores[~(evidence > 0.0)] = np.nan  # the rows add_one_in left at zero
     return scores
@@ -210,5 +241,5 @@ def score_pool(objective, model, pool, targets=None, seed=0, eta=1.0,
         diagnostics["degenerate_candidates"] = degenerate.tolist()
         diagnostics["target_evaluations"] = target_evaluations
 
-    order = sorted(range(len(pool)), key=lambda i: (-values[i], i))
+    order = np.argsort(-values, kind="stable")  # ties keep the lower index first
     return [AcquisitionScore(int(i), float(values[i])) for i in order]

@@ -263,8 +263,13 @@ def _grow_block(XT, y, presort, boots, num_classes, max_depth, min_leaf, beta):
         to_left = go_left[rows] & in_split
         to_right = ~go_left[rows] & in_split
         sides = go_left[order]
-        order = np.concatenate((order[sides & in_split].reshape(d, -1),
-                                order[~sides & in_split].reshape(d, -1)), axis=1)
+        # each half straight into its columns of the new order, so that at
+        # most one half is ever copied on top of the old order and the new
+        left = int(to_left.sum())
+        parts = np.empty((d, left + int(to_right.sum())), dtype=order.dtype)
+        parts[:, :left] = order[sides & in_split].reshape(d, left)
+        parts[:, left:] = order[~sides & in_split].reshape(d, -1)
+        order = parts
         rows = np.concatenate((rows[to_left], rows[to_right]))
         n_left = np.bincount(node_of[to_left], minlength=J)[split]
         size = np.concatenate((n_left, size[split] - n_left))

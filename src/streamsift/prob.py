@@ -164,10 +164,9 @@ def mutual_information_of_array(joint):
     block has the whole stack's strides and, with at least two rows, its
     loop order too, so every entropy sums its row in the same order as over
     the whole stack; and each block writes only its own slice. So the values
-    are the same bits for any block size and whichever thread runs a block. The
-    joint itself stays whole: a blocked einsum in ``epig_scores`` changes the
-    GEMM's last bits, and with them any pick that round-off decides (EPIG on
-    an ensemble whose members all agree).
+    are the same bits for any block size and whichever thread runs a block.
+    The joint it is given is built by ``acquisition.epig_scores``, one
+    candidate block of at most ``acquisition._JOINT_BYTES`` at a time.
     """
     j = np.asarray(joint, dtype=float)
     if j.ndim == 2:

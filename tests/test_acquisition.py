@@ -281,6 +281,20 @@ class TestScorePool:
         ranked = score_pool("mic", m, same)
         assert [s.candidate_index for s in ranked] == [0, 1, 2]
 
+    def test_rank_is_the_best_first_lowest_index_key(self, monkeypatch):
+        """The vectorised sort ranks as the key (-value, index) did, on exact
+        ties, a signed zero on either side, -inf and degenerate (NaN) scores."""
+        values = np.array([0.5, -0.0, 0.0, np.nan, 0.5, -np.inf, 1e-300, 0.0,
+                           -0.0, 0.5, np.nan, -1e-300, -np.inf, 2.0, 0.5])
+        monkeypatch.setattr("streamsift.acquisition.mic_scores",
+                            lambda model, X, y, eta: values.copy())
+        pool = [ex([float(i)], 0) for i in range(len(values))]
+        ranked = score_pool("mic", None, pool)
+        key = np.where(np.isnan(values), -np.inf, values)
+        expected = sorted(range(len(values)), key=lambda i: (-key[i], i))
+        assert [s.candidate_index for s in ranked] == expected
+        assert [s.value for s in ranked] == [float(key[i]) for i in expected]
+
     def test_matches_per_candidate_oracle(self):
         m, pool, targets = self.fixture()
         for objective in ("epig", "la_epig", "mic"):

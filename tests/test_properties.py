@@ -26,6 +26,7 @@ from streamsift import (
     PredictiveEnsemble,
     TargetSet,
     ValidationError,
+    acquisition,
     load_csv,
     prob,
     reweight_ensemble,
@@ -442,17 +443,22 @@ class TestLAEpigKernel:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_epig_is_label_mixture_of_la_epig(self, C, seed):
+        """With the candidates in one block, in blocks of one and of a few."""
         rng = np.random.default_rng(seed)
         G = 5
         model, targets = random_ensemble(rng, int(rng.integers(1, 9)), C, G)
         X = np.arange(float(G))
         marg = model.marginal_predict_batch(X)
-        mix = np.zeros(G)
-        for c in range(C):
-            la = la_epig_scores(model, X, np.full(G, c), targets)
-            assert np.array_equal(np.isnan(la), marg[:, c] == 0.0)
-            mix += np.where(marg[:, c] > 0.0, marg[:, c] * np.nan_to_num(la), 0.0)
-        assert np.allclose(epig_scores(model, X, targets), mix, rtol=0.0, atol=1e-12)
+        for budget in (acquisition._JOINT_BYTES, 1, 400):
+            mix = np.zeros(G)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(acquisition, "_JOINT_BYTES", budget)
+                for c in range(C):
+                    la = la_epig_scores(model, X, np.full(G, c), targets)
+                    assert np.array_equal(np.isnan(la), marg[:, c] == 0.0)
+                    mix += np.where(marg[:, c] > 0.0, marg[:, c] * np.nan_to_num(la), 0.0)
+                scores = epig_scores(model, X, targets)
+            assert np.allclose(scores, mix, rtol=0.0, atol=1e-12)
 
 
 # --- implicit updating -------------------------------------------------------
@@ -780,6 +786,121 @@ class TestMutualInformationKernel:
         targets = TargetSet(rng.normal(size=(128, 4)))
         assert np.array_equal(epig_scores(model, candidates, targets),
                               old_epig_scores(model, candidates, targets))
+
+
+# --- EPIG and LA-EPIG over candidate blocks -----------------------------------
+
+
+class FixedConditionals:
+    """A model with fixed conditionals: ``cond_x`` for the candidate batch
+    ``X``, ``cond_t`` for the targets. They exist before a kernel runs, so its
+    traced memory leaves them out."""
+
+    def __init__(self, X, cond_x, cond_t, weights):
+        self.X, self.cond_x, self.cond_t = X, cond_x, cond_t
+        self.sample_weights = weights
+        self.num_classes = cond_x.shape[2]
+
+    def conditionals(self, X):
+        return self.cond_x if X is self.X else self.cond_t
+
+
+def fixed_case(rng, N, M, K, C):
+    """A :class:`FixedConditionals` model on N candidates, their labels and
+    M targets."""
+    X = np.zeros((N, 1))
+    model = FixedConditionals(X, random_conditionals(rng, N, K, C),
+                              random_conditionals(rng, M, K, C), rng.dirichlet(np.ones(K)))
+    return model, X, rng.integers(0, C, size=N), TargetSet(np.zeros((M, 1)))
+
+
+# bytes per candidate of each kernel's blocks, at M targets and C classes
+ROW_BYTES = {"epig": lambda M, C: M * C * C * 8, "la_epig": lambda M, C: 2 * M * C * 8}
+
+
+def kernel_pair(objective, model, X, y, targets):
+    """(new, old) scores of one objective."""
+    if objective == "epig":
+        return epig_scores(model, X, targets), old_epig_scores(model, X, targets)
+    return la_epig_scores(model, X, y, targets), old_la_epig_scores(model, X, y, targets)
+
+
+class TestCandidateBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5000), st.integers(1, 1 << 20), st.integers(1, 1 << 24))
+    def test_fewest_even_blocks_within_budget(self, n, row_bytes, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acquisition, "_JOINT_BYTES", budget)
+            blocks = acquisition._candidate_blocks(n, row_bytes)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        if row_bytes > budget:  # one candidate alone is over the budget
+            assert sizes == [1] * n or (n == 0 and sizes == [0])
+        else:
+            assert max(sizes) * row_bytes <= budget
+            assert len(blocks) == 1 or -(-n // (len(blocks) - 1)) * row_bytes > budget
+
+    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    @pytest.mark.parametrize("size", ["harness", "largest"])
+    def test_one_block_is_bit_identical(self, objective, size):
+        """The harness shape (N=200, M=128, K=32, C=10) and the largest N that
+        still fits one block run the old expression on the whole pool."""
+        rng = np.random.default_rng(5)
+        data = [LabelledExample(x, int(c)) for x, c in zip(rng.normal(size=(40, 4)),
+                                                           rng.integers(0, 10, size=40))]
+        model = BootstrapForest(10, num_trees=32, max_depth=6, seed=0).fit(data)
+        row_bytes = ROW_BYTES[objective](128, 10)
+        N = 200 if size == "harness" else acquisition._JOINT_BYTES // row_bytes
+        assert len(acquisition._candidate_blocks(N, row_bytes)) == 1
+        assert len(acquisition._candidate_blocks(N + 1, row_bytes)) == (size == "largest") + 1
+        X = rng.normal(size=(N, 4))
+        new, old = kernel_pair(objective, model, X, rng.integers(0, 10, size=N),
+                               TargetSet(rng.normal(size=(128, 4))))
+        assert np.array_equal(new, old, equal_nan=True)
+
+    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12),
+           st.integers(1, 10), st.integers(2, 5), st.integers(1, 1 << 14))
+    def test_many_blocks_match_the_old_kernels(self, objective, seed, N, M, K, C, budget):
+        rng = np.random.default_rng(seed)
+        model, X, y, targets = fixed_case(rng, N, M, K, C)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(acquisition, "_JOINT_BYTES", budget)
+            new, old = kernel_pair(objective, model, X, y, targets)
+        assert new.shape == (N,)
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        ok = ~np.isnan(old)
+        assert np.allclose(new[ok], old[ok], rtol=0.0, atol=1e-12)
+        if objective == "epig":
+            assert np.all(new >= 0.0)
+
+    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    def test_memory_is_one_block(self, objective):
+        """N=8,000 candidates, M=64 targets, C=10: EPIG's whole joint would be
+        410 MB, LA-EPIG's updated predictives 41 MB. Beyond the inputs, the
+        conditionals and the (N,) result, a kernel holds one block's arrays,
+        within the budget, plus a few MiB that do not grow with the pool: the
+        mutual information's own blocks of about 1 MiB on each of two threads
+        (each with its reshaped copy and entropy buffer), and the entropy's
+        mask, a sixteenth of LA-EPIG's block."""
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        model, X, y, targets = fixed_case(rng, 8000, 64, 8, 10)
+        assert len(acquisition._candidate_blocks(8000, ROW_BYTES[objective](64, 10))) > 1
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scores = (epig_scores(model, X, targets) if objective == "epig"
+                      else la_epig_scores(model, X, y, targets))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (8000,)
+        assert peak - scores.nbytes < acquisition._JOINT_BYTES + 4 * 2**20
 
 
 # --- the block runner shared by the mutual information and the forest --------
