@@ -12,13 +12,14 @@ label): its per-target value is the mutual information of that joint, which
 makes EPIG non-negative by construction and ties it to LA-EPIG through
 EPIG(x) = sum_c p(y=c|x) * LA-EPIG(x, c).
 
-EPIG and LA-EPIG score the candidates in blocks, so their memory does not
-grow with the pool. The blocks are the fewest even ones whose per-candidate
-arrays fit ``_JOINT_BYTES`` (32 MiB): EPIG's (M, C, C) joint, and LA-EPIG's
-(M, C) updated predictives with the entropy's buffer of the same size. The
-conditionals are computed once per call. A pool that fits one block runs
-one expression over all its candidates; more blocks can move the BLAS
-product's last bits, since its summation order follows the block's shape.
+EPIG and LA-EPIG score the candidates through one loop, ``_blockwise``, so
+their memory does not grow with the pool: it builds their per-candidate
+arrays (EPIG's (M, C, C) joint; LA-EPIG's add-one-in weights and (M, C)
+updated predictives) one block of at most ``_JOINT_BYTES`` at a time, and
+reduces each block in tasks of about ``_TASK_BYTES`` that :func:`runner.share`
+runs. A pool that fits one block builds it in one expression over all its
+candidates; more blocks can move the BLAS product's last bits, since its
+summation order follows the block's shape.
 
 MIC needs only the observed label's mass after the update. Sample-based
 models give it as E_w[lik^2] / E_w[lik], not as the updated weights times
@@ -26,7 +27,9 @@ lik: the two agree in exact arithmetic, but round-off decides forest MIC
 picks among near-tied candidates, and the product form changes those picks.
 """
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,12 +38,16 @@ from .models.base import add_one_in, as_input, as_inputs, as_labels, dataset_arr
 from .models.dirichlet import DirichletHistogramClassifier
 from .prob import entropy, entropy_of_array, mutual_information_of_array
 from .rng import rng_from
+from .runner import share
 
 OBJECTIVES = ("random", "mic", "epig", "la_epig", "rho_loss")
 TARGET_OBJECTIVES = ("epig", "la_epig")  # the objectives that score against targets
 
 # bytes of the per-candidate arrays that EPIG and LA-EPIG build per block
 _JOINT_BYTES = 32 << 20
+
+# bytes of a block that one task of ``runner.share`` reduces
+_TASK_BYTES = 1 << 20
 
 
 class TargetSet:
@@ -67,14 +74,37 @@ class AcquisitionScore:
 # --- batched kernels (return one score per candidate row) -----------------
 
 
-def _candidate_blocks(n, row_bytes):
+def _candidate_blocks(n, row_bytes, budget, least=1):
     """Slices that cut ``n`` candidates into the fewest even blocks whose
-    ``row_bytes`` per candidate fit ``_JOINT_BYTES``; one candidate per block
-    when one alone does not fit. Even, so that the blocks differ by at most
-    one row: einsum picks its contraction by its operands' shapes."""
-    count = max(1, -(-n // max(1, _JOINT_BYTES // row_bytes)))
+    ``row_bytes`` per candidate fit ``budget``, but none below ``least`` rows
+    (one block if ``n`` is). Even, so that the blocks differ by at most one
+    row: einsum picks its contraction by its operands' shapes."""
+    per = max(least, budget // row_bytes)
+    count = max(1, min(-(-n // per), n // least))
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(s, e) for s, e in zip(bounds, bounds[1:])]
+
+
+def _blockwise(n, row_bytes, build, reduce):
+    """Scores of ``n`` candidates, shape (n,): ``build(rows)`` makes the
+    arrays of the candidates ``rows``, one even block under ``_JOINT_BYTES``
+    at a time, and ``reduce(part)`` scores rows of a block, in tasks of about
+    ``_TASK_BYTES`` for :func:`runner.share`. A task keeps its block's strides
+    and, with at least two rows, its loop order (numpy drops a length-1 axis
+    from it), and writes only its own scores: the bits do not depend on the
+    task size or the thread."""
+    scores = np.empty(n)
+
+    def task(dest, block, part):
+        dest[part] = reduce(block[part])
+
+    for rows in _candidate_blocks(n, row_bytes, _JOINT_BYTES):
+        block = build(rows)
+        parts = _candidate_blocks(len(block), block.itemsize * math.prod(block.shape[1:]),
+                                  _TASK_BYTES, least=2)
+        share([partial(task, scores[rows], block, part) for part in parts])
+        del block  # before the next block is built
+    return scores
 
 
 def epig_scores(model, X, targets):
@@ -82,34 +112,33 @@ def epig_scores(model, X, targets):
     cond_x, w = model.conditionals(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     M, _, C = cond_t.shape
-    scores = np.empty(len(cond_x))
-    for rows in _candidate_blocks(len(cond_x), M * C * C * 8):
-        # one expression, so that no block's joint outlives its reduction
-        scores[rows] = mutual_information_of_array(  # (rows, M), clamped inside
-            np.einsum("nkc,mkd,k->nmcd", cond_x[rows], cond_t, w, optimize=True)
-        ).mean(axis=1)
-    return scores
+    return _blockwise(
+        len(cond_x), M * C * C * 8,
+        lambda rows: np.einsum("nkc,mkd,k->nmcd", cond_x[rows], cond_t, w, optimize=True),
+        lambda part: mutual_information_of_array(part).mean(axis=1))  # (part, M) -> (part,)
 
 
 def la_epig_scores(model, X, y, targets):
     """LA-EPIG for candidate pairs; degenerate candidates come back as NaN."""
-    y = as_labels(y, model.num_classes)
+    y = as_labels(y, model.num_classes, count=len(X))
     cond_x, w = model.conditionals(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     prior = np.einsum("k,mkc->mc", w, cond_t)
     h_prior = entropy_of_array(prior).mean()
 
-    evidence, w_post = add_one_in(w, cond_x[np.arange(len(y)), :, y])
     M, K, C = cond_t.shape
     flat_t = cond_t.transpose(1, 0, 2).reshape(K, M * C)
-    h_post = np.empty(len(y))
-    # a row holds `updated` and the entropy's buffer of its size
-    for rows in _candidate_blocks(len(y), 2 * M * C * 8):
-        # `updated`, (rows, M, C), as one BLAS matmul over the flattened
-        # (target, class) axis, in one expression like EPIG's joint
-        h_post[rows] = entropy_of_array(
-            (w_post[rows] @ flat_t).reshape(-1, M, C)).mean(axis=1)
-    scores = h_prior - h_post
+    evidence, index = np.empty(len(y)), np.arange(len(y))
+
+    def updated(rows):
+        # the add-one-in weights, then the (rows, M, C) predictives as one
+        # BLAS matmul over the flattened (target, class) axis
+        evidence[rows], w_post = add_one_in(w, cond_x[index[rows], :, y[rows]])
+        return (w_post @ flat_t).reshape(-1, M, C)
+
+    # a row holds `updated` and add_one_in's four (K,) arrays
+    scores = h_prior - _blockwise(len(y), (M * C + 4 * K) * 8, updated,
+                                  lambda part: entropy_of_array(part).mean(axis=1))
     scores[~(evidence > 0.0)] = np.nan  # the rows add_one_in left at zero
     return scores
 
@@ -120,7 +149,7 @@ def mic_scores(model, X, y, eta=1.0):
     The Dirichlet model is scored with its exact conjugate predictives;
     sample-based models through the second moment of the likelihood.
     """
-    y = as_labels(y, model.num_classes)
+    y = as_labels(y, model.num_classes, count=len(X))
     rows = np.arange(len(y))
     if isinstance(model, DirichletHistogramClassifier):
         # a_y / sum(a) before the update, (a_y + 1) / sum(a with a_y + 1) after
@@ -144,7 +173,7 @@ def mic_scores(model, X, y, eta=1.0):
 
 def rho_loss_scores(model, aux_model, X, y):
     """Model NLL minus holdout-model NLL; NaN where either mass is zero."""
-    y = as_labels(y, model.num_classes)
+    y = as_labels(y, model.num_classes, count=len(X))
     idx = np.arange(len(y))
     p_model = model.marginal_predict_batch(X)[idx, y]
     p_aux = aux_model.marginal_predict_batch(X)[idx, y]

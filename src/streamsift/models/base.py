@@ -81,10 +81,13 @@ def as_input(x):
     return x.reshape(1, -1)
 
 
-def as_labels(y, num_classes=None):
+def as_labels(y, num_classes=None, count=None):
     """y as an int array of class labels: every label a whole number (2.0
-    passes; 1.7 and "2" do not) and, given ``num_classes``, in [0, num_classes)."""
+    passes; 1.7 and "2" do not), given ``num_classes`` in [0, num_classes),
+    and given ``count`` one label for each of ``count`` inputs."""
     y = np.asarray(y)
+    if count is not None and y.shape != (count,):
+        raise ValidationError(f"got {y.size} labels for {count} inputs")
     ok = ((np.floor(y) == y) & (np.abs(y) < 2.0**63) if y.dtype.kind == "f"
           else np.full(y.shape, y.dtype.kind in "biu"))  # whole and int64-sized
     if num_classes is not None:

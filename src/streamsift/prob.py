@@ -5,22 +5,15 @@ Everything here works in natural log (nats). Probabilities below
 0*log(0) contributes 0 without producing NaNs from underflow.
 """
 
-import math
-from functools import partial
-
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .runner import share
 
 #: absolute tolerance for probability sums and per-entry checks
 SUM_ATOL = 1e-9
 
 #: probabilities below this are treated as exact zeros in entropy terms
 ZERO_EPS = 1e-12
-
-# bytes of a stacked joint that the mutual information reduces at a time
-_BLOCK_BYTES = 1 << 20
 
 
 def float_array(value, name):
@@ -151,49 +144,19 @@ def dirichlet_kl(alpha_post, alpha_prior):
 
 
 def mutual_information_of_array(joint):
-    """Vectorized MI kernel: H(rows) + H(cols) - H(joint) on the last two axes.
+    """Vectorized MI kernel: H(rows) + H(cols) - H(joint) on the last two axes,
+    one expression over a joint or a stack of joints.
 
     Values in [-1e-9, 0) are clamped to 0; anything below that indicates a
-    broken joint and raises.
-
-    A stack of joints is reduced in one pass over blocks of the first axis of
-    about ``_BLOCK_BYTES`` each (at least two rows): each block's three
-    entropies are written into its slice of the result, so no marginal or
-    entropy temporary spans the whole stack. The blocks go to
-    :func:`runner.share`, which may run some of them on its helper thread. A
-    block has the whole stack's strides and, with at least two rows, its
-    loop order too, so every entropy sums its row in the same order as over
-    the whole stack; and each block writes only its own slice. So the values
-    are the same bits for any block size and whichever thread runs a block.
-    The joint it is given is built by ``acquisition.epig_scores``, one
-    candidate block of at most ``acquisition._JOINT_BYTES`` at a time.
+    broken joint and raises. The result is in C order whatever the joint's
+    layout, so that a later reduction over it sums in one order.
     """
     j = np.asarray(joint, dtype=float)
-    if j.ndim == 2:
-        mi = (entropy_of_array(j.sum(axis=-1)) + entropy_of_array(j.sum(axis=-2))
-              - entropy_of_array(j.reshape(-1)))
-    else:
-        mi = np.empty(j.shape[:-2])
-        row_bytes = max(1, j.itemsize * math.prod(j.shape[1:]))
-        # no block of one row out of several: numpy leaves a length-1 axis
-        # out of its loop order, which can move a marginal's entropy sum onto
-        # another loop and change its bits
-        bounds = list(range(0, len(j), max(2, _BLOCK_BYTES // row_bytes))) + [len(j)]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            del bounds[-2]
-
-        def reduce_block(rows):
-            blk = j[rows]
-            mi[rows] = (entropy_of_array(blk.sum(axis=-1))
-                        + entropy_of_array(blk.sum(axis=-2))
-                        - entropy_of_array(blk.reshape(blk.shape[:-2] + (-1,))))
-
-        share([partial(reduce_block, slice(s, e)) for s, e in zip(bounds, bounds[1:])])
+    mi = (entropy_of_array(j.sum(axis=-1)) + entropy_of_array(j.sum(axis=-2))
+          - entropy_of_array(j.reshape(j.shape[:-2] + (-1,))))
     if np.any(mi < -SUM_ATOL):
         raise ValidationError(f"mutual information below -{SUM_ATOL}: min={mi.min()}")
-    if j.ndim == 2:
-        return np.maximum(mi, 0.0)
-    return np.maximum(mi, 0.0, out=mi)
+    return np.maximum(mi, 0.0, order="C")
 
 
 def mutual_information(joint):

@@ -7,7 +7,7 @@ least two CPUs, the caller and one helper thread take tasks from a shared
 queue until it is empty; otherwise the caller runs them all, in order. The
 tasks must not depend on one another or on which thread runs them, so their
 results are the same whichever thread runs each. There is no option: the
-mutual information's blocks and the forest's tree blocks both come here.
+acquisition kernels' tasks and the forest's tree blocks both come here.
 """
 
 import os

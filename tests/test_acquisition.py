@@ -475,3 +475,21 @@ class TestLabelRule:
         assert np.array_equal(mic_scores(model, X, y), mic_scores(model, X, y.astype(float)))
         assert np.array_equal(la_epig_scores(model, X, y, targets),
                               la_epig_scores(model, X, y.astype(float), targets))
+
+    @pytest.mark.parametrize("count", [3, 7])
+    @pytest.mark.parametrize("kernel", ["la_epig_scores", "mic_scores", "rho_loss_scores"])
+    @pytest.mark.parametrize("kind", ["dirichlet", "finite"])
+    def test_one_label_per_candidate(self, kind, kernel, count):
+        """Five candidates with three or seven labels: neither three scores
+        nor an IndexError, but an error that names both counts."""
+        model = TestInputRule().fitted(kind)
+        aux = TestInputRule().fitted("finite")
+        X, y = np.array([0.0, 1.0, 2.0, 3.0, 1.0]), np.zeros(count, dtype=int)
+        call = {
+            "la_epig_scores": lambda: la_epig_scores(model, X, y, TargetSet(X)),
+            "mic_scores": lambda: mic_scores(model, X, y),
+            "rho_loss_scores": lambda: rho_loss_scores(model, aux, X, y),
+        }[kernel]
+        with pytest.raises(ValidationError,
+                           match=rf"^got {count} labels for 5 inputs$"):
+            call()

@@ -15,7 +15,6 @@ from streamsift import (
     kl_divergence,
     mutual_information,
 )
-from streamsift.prob import mutual_information_of_array
 
 
 class TestCategorical:
@@ -176,31 +175,3 @@ class TestMutualInformation:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             JointCategorical([[0.5, 0.25, 0.25]])
-
-    def test_stacked_joint_entropy_memory_is_blocked(self):
-        """An einsum joint of N=400, M=128, C=10 (41 MB): every entropy is
-        reduced in small candidate blocks, so the peak is a few MiB; one pass
-        over the whole stack took 124 MB. Apart from the (N, M) result, the
-        peak does not grow with N: at 4N it stays within 1 MiB of the peak at
-        N, where whole-stack marginals add about 25 MiB."""
-        import tracemalloc
-
-        def traced_peak(N):
-            rng = np.random.default_rng(3)
-            cond_x = rng.dirichlet(np.ones(10), size=(N, 8))
-            cond_t = rng.dirichlet(np.ones(10), size=(128, 8))
-            joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, np.full(8, 1 / 8),
-                              optimize=True)
-            tracemalloc.start()
-            try:
-                mi = mutual_information_of_array(joint)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert mi.shape == (N, 128)
-            return peak, mi.nbytes
-
-        peak, result = traced_peak(400)
-        assert peak < 16 * 2**20
-        peak_4n, result_4n = traced_peak(1600)
-        assert peak_4n - result_4n < peak - result + 2**20

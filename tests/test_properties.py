@@ -728,38 +728,12 @@ def assert_same_array(new, old):
 
 
 class TestMutualInformationKernel:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 130),
-           st.integers(1, 40), st.integers(2, 10), st.booleans())
-    def test_blocked_joint_entropy_matches_one_pass(self, seed, N, M, K, C, same_rows):
-        """Einsum-built joints (the layout ``epig_scores`` reduces), with
-        every candidate row identical in the degenerate case, at block
-        budgets of one row, a few rows and the whole stack."""
-        rng = np.random.default_rng(seed)
-        cond_x = random_conditionals(rng, N, K, C)
-        if same_rows:
-            cond_x[:] = cond_x[0]
-        cond_t = random_conditionals(rng, M, K, C)
-        w = rng.dirichlet(np.ones(K))
-        joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, w, optimize=True)
-        old = old_mutual_information_of_array(joint)
-        for budget in (1, 4096, 1 << 20, 1 << 40):
-            for cpus in (1, 2):  # the helper thread off and on
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(prob, "_BLOCK_BYTES", budget)
-                    mp.setattr(runner, "_CPUS", cpus)
-                    new = prob.mutual_information_of_array(joint)
-                assert_same_array(new, old)
-                assert np.array_equal(new.mean(axis=1), old.mean(axis=1))
-
     @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 4, 4)])
     def test_small_stacks_and_single_joint(self, shape):
         rng = np.random.default_rng(len(shape))
         joint = rng.dirichlet(np.ones(shape[-1] ** 2), size=shape[:-2])
         joint = joint.reshape(shape)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prob, "_BLOCK_BYTES", 1)
-            new = prob.mutual_information_of_array(joint)
+        new = prob.mutual_information_of_array(joint)
         old = old_mutual_information_of_array(joint)
         assert np.shape(new) == np.shape(old)
         assert np.array_equal(new, old)
@@ -814,8 +788,9 @@ def fixed_case(rng, N, M, K, C):
     return model, X, rng.integers(0, C, size=N), TargetSet(np.zeros((M, 1)))
 
 
-# bytes per candidate of each kernel's blocks, at M targets and C classes
-ROW_BYTES = {"epig": lambda M, C: M * C * C * 8, "la_epig": lambda M, C: 2 * M * C * 8}
+# bytes per candidate of each kernel's blocks, at M targets, K samples and C classes
+ROW_BYTES = {"epig": lambda M, K, C: M * C * C * 8,
+             "la_epig": lambda M, K, C: (M * C + 4 * K) * 8}
 
 
 def kernel_pair(objective, model, X, y, targets):
@@ -827,19 +802,20 @@ def kernel_pair(objective, model, X, y, targets):
 
 class TestCandidateBlocks:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 5000), st.integers(1, 1 << 20), st.integers(1, 1 << 24))
-    def test_fewest_even_blocks_within_budget(self, n, row_bytes, budget):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(acquisition, "_JOINT_BYTES", budget)
-            blocks = acquisition._candidate_blocks(n, row_bytes)
+    @given(st.integers(0, 5000), st.integers(1, 1 << 20), st.integers(1, 1 << 24),
+           st.sampled_from([1, 2]))
+    def test_fewest_even_blocks_within_budget(self, n, row_bytes, budget, least):
+        """Candidate blocks (``least`` 1) and a block's tasks (``least`` 2)."""
+        blocks = acquisition._candidate_blocks(n, row_bytes, budget, least)
         sizes = [b.stop - b.start for b in blocks]
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert max(sizes) - min(sizes) <= 1
-        if row_bytes > budget:  # one candidate alone is over the budget
-            assert sizes == [1] * n or (n == 0 and sizes == [0])
-        else:
-            assert max(sizes) * row_bytes <= budget
+        assert len(blocks) == 1 or min(sizes) >= least
+        if least * row_bytes > budget:  # `least` candidates are over the budget
+            assert len(blocks) == max(1, n // least)
+        else:  # within the budget, unless that leaves a block below `least` rows
+            assert max(sizes) * row_bytes <= budget or min(sizes) == least
             assert len(blocks) == 1 or -(-n // (len(blocks) - 1)) * row_bytes > budget
 
     @pytest.mark.parametrize("objective", ["epig", "la_epig"])
@@ -851,10 +827,10 @@ class TestCandidateBlocks:
         data = [LabelledExample(x, int(c)) for x, c in zip(rng.normal(size=(40, 4)),
                                                            rng.integers(0, 10, size=40))]
         model = BootstrapForest(10, num_trees=32, max_depth=6, seed=0).fit(data)
-        row_bytes = ROW_BYTES[objective](128, 10)
-        N = 200 if size == "harness" else acquisition._JOINT_BYTES // row_bytes
-        assert len(acquisition._candidate_blocks(N, row_bytes)) == 1
-        assert len(acquisition._candidate_blocks(N + 1, row_bytes)) == (size == "largest") + 1
+        row_bytes, budget = ROW_BYTES[objective](128, 32, 10), acquisition._JOINT_BYTES
+        N = 200 if size == "harness" else budget // row_bytes
+        assert len(acquisition._candidate_blocks(N, row_bytes, budget)) == 1
+        assert len(acquisition._candidate_blocks(N + 1, row_bytes, budget)) == (size == "largest") + 1
         X = rng.normal(size=(N, 4))
         new, old = kernel_pair(objective, model, X, rng.integers(0, 10, size=N),
                                TargetSet(rng.normal(size=(128, 4))))
@@ -879,47 +855,91 @@ class TestCandidateBlocks:
 
     @pytest.mark.parametrize("objective", ["epig", "la_epig"])
     def test_memory_is_one_block(self, objective):
-        """N=8,000 candidates, M=64 targets, C=10: EPIG's whole joint would be
-        410 MB, LA-EPIG's updated predictives 41 MB. Beyond the inputs, the
-        conditionals and the (N,) result, a kernel holds one block's arrays,
-        within the budget, plus a few MiB that do not grow with the pool: the
-        mutual information's own blocks of about 1 MiB on each of two threads
-        (each with its reshaped copy and entropy buffer), and the entropy's
-        mask, a sixteenth of LA-EPIG's block."""
+        """N=8,000 candidates, M=64 targets, K=8 samples, C=10, and for
+        LA-EPIG also K=256, C=2: EPIG's whole joint would be 410 MB, LA-EPIG's
+        updated predictives 41 MB and, at K=256, each of its add-one-in arrays
+        16 MB. Beyond the inputs, the conditionals and the (N,) result, a
+        kernel holds one block's arrays, within the budget, plus a few MiB
+        that do not grow with the pool: a task of about 1 MiB on each of two
+        threads, each with its copies and entropy buffer."""
         import tracemalloc
 
-        rng = np.random.default_rng(8)
-        model, X, y, targets = fixed_case(rng, 8000, 64, 8, 10)
-        assert len(acquisition._candidate_blocks(8000, ROW_BYTES[objective](64, 10))) > 1
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            scores = (epig_scores(model, X, targets) if objective == "epig"
-                      else la_epig_scores(model, X, y, targets))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert scores.shape == (8000,)
-        assert peak - scores.nbytes < acquisition._JOINT_BYTES + 4 * 2**20
+        for K, C in [(8, 10)] + [(256, 2)] * (objective == "la_epig"):
+            rng = np.random.default_rng(8)
+            model, X, y, targets = fixed_case(rng, 8000, 64, K, C)
+            row_bytes = ROW_BYTES[objective](64, K, C)
+            assert len(acquisition._candidate_blocks(8000, row_bytes,
+                                                     acquisition._JOINT_BYTES)) > 1
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                scores = (epig_scores(model, X, targets) if objective == "epig"
+                          else la_epig_scores(model, X, y, targets))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert scores.shape == (8000,)
+            assert peak - scores.nbytes < acquisition._JOINT_BYTES + 4 * 2**20, (K, C)
+
+    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 130),
+           st.integers(1, 40), st.integers(2, 10), st.booleans())
+    def test_tasks_are_bit_identical(self, objective, seed, N, M, K, C, same_rows):
+        """One candidate block cut into tasks of two rows (a budget of one
+        byte), of 4 KiB, of 1 MiB and of the whole block, reduced by the
+        caller alone and shared with the helper thread: the same bits as the
+        old kernels, also with every candidate row identical."""
+        rng = np.random.default_rng(seed)
+        model, X, y, targets = fixed_case(rng, N, M, K, C)
+        if same_rows:
+            model.cond_x[:] = model.cond_x[0]
+            y[:] = y[0]
+        old = kernel_pair(objective, model, X, y, targets)[1]
+        for budget in (1, 4096, 1 << 20, 1 << 40):
+            for cpus in (1, 2):  # the helper thread off and on
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(acquisition, "_TASK_BYTES", budget)
+                    mp.setattr(runner, "_CPUS", cpus)
+                    new = kernel_pair(objective, model, X, y, targets)[0]
+                assert np.array_equal(new, old, equal_nan=True)
+
+    def test_task_memory_does_not_grow_with_the_block(self):
+        """EPIG with its N=400, M=128, C=10 joint (41 MB) in one block: the
+        tasks reduce it in pieces, so beyond the joint the peak is a few MiB,
+        where one pass over the whole joint took 124 MB. Apart from the
+        joint and the einsum's copy of the conditionals (N x K x C), the peak
+        does not grow with N: at 4N it stays within 1 MiB of the peak at N."""
+        import tracemalloc
+
+        def traced_peak(N):
+            model, X, _, targets = fixed_case(np.random.default_rng(3), N, 128, 8, 10)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(acquisition, "_JOINT_BYTES", 1 << 40)
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    epig_scores(model, X, targets)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            return peak - N * 128 * 10 * 10 * 8 - model.cond_x.nbytes
+
+        peak = traced_peak(400)
+        assert peak < 8 * 2**20
+        assert traced_peak(1600) < peak + 2**20
 
 
-# --- the block runner shared by the mutual information and the forest --------
+# --- the block runner shared by the acquisition kernels and the forest -------
 
 
-def einsum_joint(N, seed=0):
-    rng = np.random.default_rng(seed)
-    cond_x = random_conditionals(rng, N, 5, 3)
-    cond_t = random_conditionals(rng, 7, 5, 3)
-    return np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, np.full(5, 0.2), optimize=True)
-
-
-def mi_case(mp, seed=0, N=20, one_block=False):
-    """A mutual information of many blocks (or one), with a check of its
-    result against the one-pass reference."""
-    mp.setattr(prob, "_BLOCK_BYTES", 1 << 40 if one_block else 1)
-    joint = einsum_joint(N, seed)
-    want = old_mutual_information_of_array(joint)
-    return (lambda: prob.mutual_information_of_array(joint),
+def epig_case(mp, seed=0, N=20, one_block=False):
+    """EPIG over one candidate block of tasks of two rows (or one task), with
+    a check of its scores against the old kernel."""
+    mp.setattr(acquisition, "_TASK_BYTES", 1 << 40 if one_block else 1)
+    model, X, _, targets = fixed_case(np.random.default_rng(seed), N, 7, 5, 3)
+    want = old_epig_scores(model, X, targets)
+    return (lambda: epig_scores(model, X, targets),
             lambda got: assert_same_array(got, want))
 
 
@@ -936,12 +956,12 @@ def forest_case(mp, seed=0, K=6, one_block=False):
             lambda got: assert_same_trees(*got, olds))
 
 
-CASES = {"mi": (prob, mi_case), "forest": (forest, forest_case)}
+CASES = {"epig": (acquisition, epig_case), "forest": (forest, forest_case)}
 
 
 class TestBlockRunner:
-    """``runner.share`` through both of its users: the blocks of the mutual
-    information and the tree blocks of the forest."""
+    """``runner.share`` through both of its users: the tasks of the
+    acquisition kernels' candidate blocks and the tree blocks of the forest."""
 
     @pytest.mark.parametrize("user", CASES)
     @pytest.mark.parametrize("where", ["caller", "helper"])
