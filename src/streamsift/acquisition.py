@@ -120,7 +120,7 @@ def epig_scores(model, X, targets):
 
 def la_epig_scores(model, X, y, targets):
     """LA-EPIG for candidate pairs; degenerate candidates come back as NaN."""
-    y = as_labels(y, model.num_classes, count=len(X))
+    y = as_labels(y, model.num_classes, count=len(as_inputs(X)))
     cond_x, w = model.conditionals(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     prior = np.einsum("k,mkc->mc", w, cond_t)
@@ -149,7 +149,7 @@ def mic_scores(model, X, y, eta=1.0):
     The Dirichlet model is scored with its exact conjugate predictives;
     sample-based models through the second moment of the likelihood.
     """
-    y = as_labels(y, model.num_classes, count=len(X))
+    y = as_labels(y, model.num_classes, count=len(as_inputs(X)))
     rows = np.arange(len(y))
     if isinstance(model, DirichletHistogramClassifier):
         # a_y / sum(a) before the update, (a_y + 1) / sum(a with a_y + 1) after
@@ -173,7 +173,7 @@ def mic_scores(model, X, y, eta=1.0):
 
 def rho_loss_scores(model, aux_model, X, y):
     """Model NLL minus holdout-model NLL; NaN where either mass is zero."""
-    y = as_labels(y, model.num_classes, count=len(X))
+    y = as_labels(y, model.num_classes, count=len(as_inputs(X)))
     idx = np.arange(len(y))
     p_model = model.marginal_predict_batch(X)[idx, y]
     p_aux = aux_model.marginal_predict_batch(X)[idx, y]

@@ -87,7 +87,7 @@ def as_labels(y, num_classes=None, count=None):
     and given ``count`` one label for each of ``count`` inputs."""
     y = np.asarray(y)
     if count is not None and y.shape != (count,):
-        raise ValidationError(f"got {y.size} labels for {count} inputs")
+        raise ValidationError(f"got labels of shape {y.shape} for {count} inputs")
     ok = ((np.floor(y) == y) & (np.abs(y) < 2.0**63) if y.dtype.kind == "f"
           else np.full(y.shape, y.dtype.kind in "biu"))  # whole and int64-sized
     if num_classes is not None:

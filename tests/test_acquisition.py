@@ -491,5 +491,25 @@ class TestLabelRule:
             "rho_loss_scores": lambda: rho_loss_scores(model, aux, X, y),
         }[kernel]
         with pytest.raises(ValidationError,
-                           match=rf"^got {count} labels for 5 inputs$"):
+                           match=rf"^got labels of shape \({count},\) for 5 inputs$"):
             call()
+
+    @pytest.mark.parametrize("kernel", ["la_epig_scores", "mic_scores", "rho_loss_scores"])
+    def test_label_count_follows_the_input_rule(self, kernel):
+        """A scalar X breaks the input rule before its labels are counted."""
+        model = TestInputRule().fitted("finite")
+        X, y = np.float64(1.0), np.zeros(1, dtype=int)
+        call = {
+            "la_epig_scores": lambda: la_epig_scores(model, X, y, TargetSet([0.0])),
+            "mic_scores": lambda: mic_scores(model, X, y),
+            "rho_loss_scores": lambda: rho_loss_scores(model, model, X, y),
+        }[kernel]
+        with pytest.raises(ValidationError, match=r"^inputs must be 1-d or 2-d"):
+            call()
+
+    def test_label_shape_is_reported(self):
+        """A label array wrapped once too often is named by its shape."""
+        model = TestInputRule().fitted("finite")
+        with pytest.raises(ValidationError,
+                           match=r"^got labels of shape \(1, 1\) for 1 inputs$"):
+            la_epig(model, 1.0, np.array([1]), TargetSet(TestInputRule.X))

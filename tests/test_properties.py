@@ -814,8 +814,9 @@ class TestCandidateBlocks:
         assert len(blocks) == 1 or min(sizes) >= least
         if least * row_bytes > budget:  # `least` candidates are over the budget
             assert len(blocks) == max(1, n // least)
-        else:  # within the budget, unless that leaves a block below `least` rows
-            assert max(sizes) * row_bytes <= budget or min(sizes) == least
+        else:  # within the budget, unless `n // least` caps the count of blocks
+            clamped = n // least < -(-n // (budget // row_bytes))
+            assert max(sizes) * row_bytes <= budget or clamped
             assert len(blocks) == 1 or -(-n // (len(blocks) - 1)) * row_bytes > budget
 
     @pytest.mark.parametrize("objective", ["epig", "la_epig"])
