@@ -14,8 +14,9 @@ EPIG(x) = sum_c p(y=c|x) * LA-EPIG(x, c).
 
 EPIG and LA-EPIG score the candidates through one loop, ``_blockwise``, so
 their memory does not grow with the pool: it builds their per-candidate
-arrays (EPIG's (M, C, C) joint; LA-EPIG's add-one-in weights and (M, C)
-updated predictives) one block of at most ``_JOINT_BYTES`` at a time, and
+arrays (EPIG's (M, C, C) joint and einsum's (C, K) copy of the candidate's
+conditionals; LA-EPIG's add-one-in weights and (M, C) updated predictives)
+one block of at most ``_JOINT_BYTES`` at a time, and
 reduces each block in tasks of about ``_TASK_BYTES`` that :func:`runner.share`
 runs. A pool that fits one block builds it in one expression over all its
 candidates; more blocks can move the BLAS product's last bits, since its
@@ -111,9 +112,10 @@ def epig_scores(model, X, targets):
     """EPIG for a batch of candidate inputs, shape (N,)."""
     cond_x, w = model.conditionals(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
-    M, _, C = cond_t.shape
+    M, K, C = cond_t.shape
+    # a row holds its joint and einsum's (C, K) operand copy of its conditionals
     return _blockwise(
-        len(cond_x), M * C * C * 8,
+        len(cond_x), (M * C + K) * C * 8,
         lambda rows: np.einsum("nkc,mkd,k->nmcd", cond_x[rows], cond_t, w, optimize=True),
         lambda part: mutual_information_of_array(part).mean(axis=1))  # (part, M) -> (part,)
 

@@ -13,6 +13,7 @@ Heatmaps cover EPIG (label-free), LA-EPIG and MIC with both true and
 flipped labels, written as CSV grids and grayscale SVG renderings.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,10 +173,8 @@ def write_grid_csv(grid, path):
             f"{float(grid.ymin)!r} {float(grid.ymax)!r} "
             f"{grid.resolution} {grid.objective} {grid.label_mode}\n"
         )
-        for row in grid.values:
-            fh.write(
-                ",".join("NaN" if not np.isfinite(v) else repr(float(v)) for v in row)
-            )
+        for row in np.asarray(grid.values, dtype=float).tolist():
+            fh.write(",".join(repr(v) if math.isfinite(v) else "NaN" for v in row))
             fh.write("\n")
 
 

@@ -89,7 +89,9 @@ class FiniteHypothesisModel(Model):
             row = np.repeat(np.arange(len(block)), width)
             offset = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
             cand = self._order[lo[row] + offset]
-            match = np.all(np.abs(self.grid[cand] - block[row]) <= GRID_ATOL, axis=1)
+            match = np.ones(row.size, dtype=bool)
+            for col, x in zip(self.grid.T, block.T):  # one coordinate at a time
+                match &= np.abs(col[cand] - np.repeat(x, width)) <= GRID_ATOL
             best = np.full(len(block), G, dtype=np.intp)
             np.minimum.at(best, row[match], cand[match])
             out[start:start + len(block)] = np.where(best < G, best, -1)

@@ -34,7 +34,15 @@ def check_probs(p, name, axis=None):
     whole array when None) lies within ``SUM_ATOL`` of 1. Shapes are the caller's."""
     if np.any(p < -SUM_ATOL):
         raise ValidationError(f"negative {name} entry: min={p.min()}")
-    off = np.abs(p.sum(axis=axis) - 1.0)
+    if axis is None:
+        total = p.sum()
+    else:  # add the slices along the axis in place: numpy's sum would reduce
+        # each short run of entries along it on its own
+        parts = np.moveaxis(p, axis, 0)
+        total = parts[0].copy(order="K") if len(parts) else np.zeros(parts.shape[1:])
+        for part in parts[1:]:
+            total += part
+    off = np.abs(total - 1.0)
     if np.any(off > SUM_ATOL):
         raise ValidationError(f"{name} must sum to 1, off by up to {off.max()}")
 

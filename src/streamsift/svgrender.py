@@ -1,13 +1,13 @@
 """Minimal self-contained SVG emitters: grayscale heatmaps and learning
 curves. No external assets, no plotting framework, byte-deterministic."""
 
+import math
+
 import numpy as np
 
-
-def _gray_hex(level):
-    """0 -> black, 255 -> white."""
-    v = int(level)
-    return f"#{v:02x}{v:02x}{v:02x}"
+#: fill of each gray level, 0 -> black and 255 -> white; index 256 is the
+#: hatch of non-finite cells
+_FILLS = [f"#{v:02x}{v:02x}{v:02x}" for v in range(256)] + ["url(#hatch)"]
 
 
 def heatmap_svg(values, title="", cell_px=8):
@@ -25,7 +25,13 @@ def heatmap_svg(values, title="", cell_px=8):
         vmax = float(grid[finite].max())
     else:
         vmin = vmax = 0.0
-    span = vmax - vmin
+    lo, hi = vmin, vmax
+    if not math.isfinite(hi - lo):  # the range overflows: halve it, exact for normal floats
+        grid, lo, hi = grid / 2, lo / 2, hi / 2
+    span = hi - lo
+    # each cell's index into _FILLS; np.rint rounds half to even, as round() does
+    norm = (grid - lo) / span if span > 0 else 0.0
+    fill = np.where(finite, np.rint(255 * (1.0 - norm)), 256).astype(np.intp).tolist()
 
     margin = 40  # pixels
     width = margin * 2 + cols * cell_px + 70
@@ -42,19 +48,12 @@ def heatmap_svg(values, title="", cell_px=8):
         f'font-size="12">{title}</text>',
     ]
     # row 0 of the grid is drawn at the bottom so the y-axis points up
-    for i in range(rows):
-        for j in range(cols):
-            x = margin + j * cell_px
-            y = margin + (rows - 1 - i) * cell_px
-            v = grid[i, j]
-            if not np.isfinite(v):
-                fill = "url(#hatch)"
-            else:
-                norm = (v - vmin) / span if span > 0 else 0.0
-                fill = _gray_hex(round(255 * (1.0 - norm)))
+    for i, row in enumerate(fill):
+        y = margin + (rows - 1 - i) * cell_px
+        for j, f in enumerate(row):
             parts.append(
-                f'<rect data-row="{i}" data-col="{j}" x="{x}" y="{y}" '
-                f'width="{cell_px}" height="{cell_px}" fill="{fill}"/>'
+                f'<rect data-row="{i}" data-col="{j}" x="{margin + j * cell_px}" y="{y}" '
+                f'width="{cell_px}" height="{cell_px}" fill="{_FILLS[f]}"/>'
             )
     # colorbar: dark (max) on top
     bar_x = margin + cols * cell_px + 16
@@ -62,11 +61,10 @@ def heatmap_svg(values, title="", cell_px=8):
     steps = 32
     for s in range(steps):
         frac = 1.0 - (s + 0.5) / steps  # top of the bar = highest value
-        fill = _gray_hex(round(255 * (1.0 - frac)))
         y = margin + s * bar_h / steps
         parts.append(
             f'<rect x="{bar_x}" y="{y:.2f}" width="14" height="{bar_h / steps + 0.5:.2f}" '
-            f'fill="{fill}"/>'
+            f'fill="{_FILLS[round(255 * (1.0 - frac))]}"/>'
         )
     parts.append(
         f'<text x="{bar_x + 18}" y="{margin + 10}" font-family="monospace" '

@@ -1,5 +1,7 @@
 """Two-bells heatmap demo: grid semantics and directional behaviour."""
 
+import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from streamsift.demo import (
     two_bells_problem,
     write_grid_csv,
 )
+from streamsift.svgrender import heatmap_svg
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,157 @@ class TestGridCsv:
     def test_cell_axis_covers_box_exactly(self):
         xs = cell_axis(-5.0, 5.0, 4)
         assert np.allclose(xs, [-3.75, -1.25, 1.25, 3.75])
+
+
+# --- the per-cell writers the vectorised ones replaced, kept as oracles --------
+
+
+def _old_gray_hex(level):
+    v = int(level)
+    return f"#{v:02x}{v:02x}{v:02x}"
+
+
+def old_heatmap_svg(values, title="", cell_px=8):
+    grid = np.asarray(values, dtype=float)
+    rows, cols = grid.shape
+    finite = np.isfinite(grid)
+    if finite.any():
+        vmin = float(grid[finite].min())
+        vmax = float(grid[finite].max())
+    else:
+        vmin = vmax = 0.0
+    span = vmax - vmin
+
+    margin = 40
+    width = margin * 2 + cols * cell_px + 70
+    height = margin * 2 + rows * cell_px
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        "<defs><pattern id=\"hatch\" width=\"4\" height=\"4\" "
+        "patternUnits=\"userSpaceOnUse\" patternTransform=\"rotate(45)\">"
+        "<rect width=\"4\" height=\"4\" fill=\"#ffffff\"/>"
+        "<line x1=\"0\" y1=\"0\" x2=\"0\" y2=\"4\" stroke=\"#cc0000\" stroke-width=\"1.5\"/>"
+        "</pattern></defs>",
+        f'<text x="{margin}" y="{margin - 12}" font-family="monospace" '
+        f'font-size="12">{title}</text>',
+    ]
+    for i in range(rows):
+        for j in range(cols):
+            x = margin + j * cell_px
+            y = margin + (rows - 1 - i) * cell_px
+            v = grid[i, j]
+            if not np.isfinite(v):
+                fill = "url(#hatch)"
+            else:
+                norm = (v - vmin) / span if span > 0 else 0.0
+                fill = _old_gray_hex(round(255 * (1.0 - norm)))
+            parts.append(
+                f'<rect data-row="{i}" data-col="{j}" x="{x}" y="{y}" '
+                f'width="{cell_px}" height="{cell_px}" fill="{fill}"/>'
+            )
+    bar_x = margin + cols * cell_px + 16
+    bar_h = rows * cell_px
+    steps = 32
+    for s in range(steps):
+        frac = 1.0 - (s + 0.5) / steps
+        fill = _old_gray_hex(round(255 * (1.0 - frac)))
+        y = margin + s * bar_h / steps
+        parts.append(
+            f'<rect x="{bar_x}" y="{y:.2f}" width="14" height="{bar_h / steps + 0.5:.2f}" '
+            f'fill="{fill}"/>'
+        )
+    parts.append(
+        f'<text x="{bar_x + 18}" y="{margin + 10}" font-family="monospace" '
+        f'font-size="10">{vmax:.4g}</text>'
+    )
+    parts.append(
+        f'<text x="{bar_x + 18}" y="{margin + bar_h}" font-family="monospace" '
+        f'font-size="10">{vmin:.4g}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def old_write_grid_csv(grid, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(
+            f"# {float(grid.xmin)!r} {float(grid.xmax)!r} "
+            f"{float(grid.ymin)!r} {float(grid.ymax)!r} "
+            f"{grid.resolution} {grid.objective} {grid.label_mode}\n"
+        )
+        for row in grid.values:
+            fh.write(
+                ",".join("NaN" if not np.isfinite(v) else repr(float(v)) for v in row)
+            )
+            fh.write("\n")
+
+
+def writer_grids():
+    """Grids with non-finite cells, no span, one cell, and gray levels that
+    land exactly on .5 (255 * 0.9 = 229.5, 178.5 and 127.5: round half to
+    even goes up for the first and the last, down for the middle one)."""
+    rng = np.random.default_rng(6)
+    mixed = rng.normal(size=(7, 5))
+    mixed[0, 0], mixed[2, 3], mixed[6, 4] = np.nan, np.inf, -np.inf
+    halves = np.array([[0.0, 0.1, 0.3], [0.5, 1.0, 0.7]])
+    assert sorted(np.modf(255 * (1.0 - halves[halves != 0.7]))[0]) == [0, 0, 0.5, 0.5, 0.5]
+    return {
+        "mixed": mixed,
+        "constant": np.full((3, 4), 2.5),
+        "constant_with_nan": np.array([[2.5, np.nan], [2.5, 2.5]]),
+        "all_nan": np.full((2, 3), np.nan),
+        "one_cell": np.array([[0.25]]),
+        "halves": halves,
+        "tiny_span": np.array([[0.0, 5e-324], [1e-310, 0.0]]),
+        "demo_like": rng.exponential(size=(16, 16)) * 1e-3,
+    }
+
+
+def svg_rects(svg):
+    """The rect elements drawn at the top level: the cells and the colorbar."""
+    return ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}rect")
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", list(writer_grids()))
+    @pytest.mark.parametrize("cell_px", [1, 2, 8, 13])
+    def test_svg_matches_per_cell_oracle(self, name, cell_px):
+        values = writer_grids()[name]
+        svg = heatmap_svg(values, title=name, cell_px=cell_px)
+        assert svg == old_heatmap_svg(values, title=name, cell_px=cell_px)
+        assert len(svg_rects(svg)) == values.size + 32
+
+    @pytest.mark.parametrize("name", list(writer_grids()))
+    def test_csv_matches_per_cell_oracle(self, name, tmp_path):
+        values = writer_grids()[name]
+        grid = ScoreGrid(values, -5.0, 5.0, -4.0, 4.0, len(values), "mic", "flip")
+        write_grid_csv(grid, tmp_path / "new.csv")
+        old_write_grid_csv(grid, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_levels_round_half_to_even(self):
+        fills = {int(r.get("data-col")) + 3 * int(r.get("data-row")): r.get("fill")
+                 for r in svg_rects(heatmap_svg(writer_grids()["halves"]))[:6]}
+        # values 0.1, 0.3 and 0.5 give levels 229.5, 178.5 and 127.5
+        assert [fills[1], fills[2], fills[3]] == ["#e6e6e6", "#b2b2b2", "#808080"]
+
+    @pytest.mark.parametrize("values", [
+        [[-1e308, 1e308], [0.0, 1.0]],
+        [[-np.finfo(float).max, np.finfo(float).max, 5e-324]],
+        [[np.finfo(float).max, np.nan], [-1e308, np.inf]],
+    ])
+    def test_overflowing_range_renders(self, values):
+        """A finite range wider than the largest float: the levels are those
+        of the grid at half scale; only the printed min and max differ."""
+        values = np.array(values)
+        svg = heatmap_svg(values, cell_px=4)
+        assert len(svg_rects(svg)) == values.size + 32
+        half = old_heatmap_svg(values / 2, cell_px=4)
+        assert svg.splitlines()[:-3] == half.splitlines()[:-3]
+        assert re.findall(r">(\S+)</text>", svg)[-2:] == [
+            f"{np.nanmax(values[np.isfinite(values)]):.4g}",
+            f"{np.nanmin(values[np.isfinite(values)]):.4g}"]
 
 
 class TestRenderHeatmaps:

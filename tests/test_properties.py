@@ -12,7 +12,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from streamsift import (
@@ -34,6 +34,7 @@ from streamsift import (
     save_csv,
 )
 from streamsift.acquisition import epig_scores, la_epig_scores, mic_scores
+from streamsift.demo import cell_centers
 from streamsift.models import forest
 from streamsift.models.base import add_one_in
 from streamsift.models.finite import GRID_ATOL
@@ -377,6 +378,24 @@ class TestGridLookup:
         check_lookup(grid, X[:300])
         check_lookup(grid, X)
 
+    def test_three_coordinates(self):
+        grid = [[0.0, 1.0, 2.0], [0.0, 1.0, 3.0], [0.0, 2.0, 2.0], [1.0, 1.0, 2.0]]
+        hit = [[0.0, 1.0, 3.0 - 0.5 * GRID_ATOL], [0.0, 2.0 + GRID_ATOL, 2.0],
+               [1.0 - 0.5 * GRID_ATOL, 1.0, 2.0], [0.0, 1.0, 2.0]]
+        check_lookup(grid, hit)
+        # misses on the third coordinate alone, then on the second alone
+        check_lookup(grid, hit + [[0.0, 1.0, 2.0 + 2 * GRID_ATOL], [0.0, 2.5, 2.0]])
+        check_lookup(grid, hit + [[0.0, 2.0 - 2 * GRID_ATOL, 2.0]])
+
+    def test_demo_cell_windows(self):
+        """The 64 x 64 demo grid: each first coordinate is shared by a whole
+        column of 64 rows, so every input's window holds 64 candidates."""
+        grid = cell_centers(-5.0, 5.0, -5.0, 5.0, 64)
+        rng = np.random.default_rng(4)
+        X = grid[rng.integers(0, len(grid), size=400)]
+        check_lookup(grid, X + rng.choice(OFFSETS[:3], size=X.shape))
+        check_lookup(grid, X + rng.choice(OFFSETS, size=X.shape))
+
     def test_no_inputs(self):
         check_lookup([[0.0, 1.0]], np.zeros((0, 2)))
         assert uniform_model([[0.0, 1.0]]).conditionals(np.zeros((0, 2))).shape == (0, 1, 2)
@@ -400,6 +419,34 @@ class TestGridLookup:
         examples = [LabelledExample([x], 0) for x in (1.0, 0.5, 3.0)]
         with pytest.raises(GridLookupError, match=r"input \[0\.5\] is not"):
             model.fit(examples)
+
+
+# --- probability-table check ----------------------------------------------------
+
+
+class TestCheckProbs:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           st.data())
+    def test_axis_sums_match_numpy(self, seed, shape, data):
+        """Along any axis and in either memory order, ``check_probs`` raises
+        for the arrays whose numpy sums are off by more than SUM_ATOL. The
+        entries are nudged by multiples of SUM_ATOL; sums within a few ulps
+        of the tolerance may round either way, so they are left out."""
+        axis = data.draw(st.sampled_from([None, *range(len(shape))]))
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.1, 1.0, size=shape)
+        p /= p.sum(axis=axis, keepdims=axis is not None)
+        nudge = rng.choice([0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 3.0], size=shape)
+        p += np.where(rng.uniform(size=shape) < 0.2, nudge, 0.0) * SUM_ATOL
+        p = np.asarray(p, order=data.draw(st.sampled_from(["C", "F"])))
+        off = np.abs(p.sum(axis=axis) - 1.0)
+        assume(not np.any(np.abs(off - SUM_ATOL) < 64 * np.finfo(float).eps))
+        if np.any(off > SUM_ATOL):
+            with pytest.raises(ValidationError, match="must sum to 1"):
+                prob.check_probs(p, "x", axis=axis)
+        else:
+            prob.check_probs(p, "x", axis=axis)
 
 
 # --- LA-EPIG -----------------------------------------------------------------
@@ -789,7 +836,7 @@ def fixed_case(rng, N, M, K, C):
 
 
 # bytes per candidate of each kernel's blocks, at M targets, K samples and C classes
-ROW_BYTES = {"epig": lambda M, K, C: M * C * C * 8,
+ROW_BYTES = {"epig": lambda M, K, C: (M * C + K) * C * 8,
              "la_epig": lambda M, K, C: (M * C + 4 * K) * 8}
 
 
@@ -856,16 +903,17 @@ class TestCandidateBlocks:
 
     @pytest.mark.parametrize("objective", ["epig", "la_epig"])
     def test_memory_is_one_block(self, objective):
-        """N=8,000 candidates, M=64 targets, K=8 samples, C=10, and for
-        LA-EPIG also K=256, C=2: EPIG's whole joint would be 410 MB, LA-EPIG's
-        updated predictives 41 MB and, at K=256, each of its add-one-in arrays
+        """N=8,000 candidates, M=64 targets, K=8 samples, C=10, and also
+        the demo's K=256, C=2: EPIG's whole joint would be 410 MB, LA-EPIG's
+        updated predictives 41 MB; at K=256 einsum's copy of EPIG's
+        conditionals would be 33 MB and each of LA-EPIG's add-one-in arrays
         16 MB. Beyond the inputs, the conditionals and the (N,) result, a
         kernel holds one block's arrays, within the budget, plus a few MiB
         that do not grow with the pool: a task of about 1 MiB on each of two
         threads, each with its copies and entropy buffer."""
         import tracemalloc
 
-        for K, C in [(8, 10)] + [(256, 2)] * (objective == "la_epig"):
+        for K, C in [(8, 10), (256, 2)]:
             rng = np.random.default_rng(8)
             model, X, y, targets = fixed_case(rng, 8000, 64, K, C)
             row_bytes = ROW_BYTES[objective](64, K, C)
