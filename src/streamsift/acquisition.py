@@ -12,15 +12,14 @@ label): its per-target value is the mutual information of that joint, which
 makes EPIG non-negative by construction and ties it to LA-EPIG through
 EPIG(x) = sum_c p(y=c|x) * LA-EPIG(x, c).
 
-EPIG and LA-EPIG score the candidates through one loop, ``_blockwise``, so
-their memory does not grow with the pool: it builds their per-candidate
-arrays (EPIG's (M, C, C) joint and einsum's (C, K) copy of the candidate's
-conditionals; LA-EPIG's add-one-in weights and (M, C) updated predictives)
-one block of at most ``_JOINT_BYTES`` at a time, and
-reduces each block in tasks of about ``_TASK_BYTES`` that :func:`runner.share`
-runs. A pool that fits one block builds it in one expression over all its
-candidates; more blocks can move the BLAS product's last bits, since its
-summation order follows the block's shape.
+Every objective but random scores the candidates through one loop,
+``_blockwise``, so its memory does not grow with the pool: each block of at
+most ``_JOINT_BYTES`` computes its candidates' conditionals and what the
+objective builds from them (EPIG's (M, C, C) joint, LA-EPIG's (M, C)
+updated predictives, MIC's and RHO-LOSS's label masses), reduced in tasks of
+about ``_TASK_BYTES`` that :func:`runner.share` runs. A pool that fits one
+block is one expression over all its candidates; more blocks can move the
+last bits of a BLAS product, whose summation order follows the block's shape.
 
 MIC needs only the observed label's mass after the update. Sample-based
 models give it as E_w[lik^2] / E_w[lik], not as the updated weights times
@@ -44,7 +43,7 @@ from .runner import share
 OBJECTIVES = ("random", "mic", "epig", "la_epig", "rho_loss")
 TARGET_OBJECTIVES = ("epig", "la_epig")  # the objectives that score against targets
 
-# bytes of the per-candidate arrays that EPIG and LA-EPIG build per block
+# bytes of the per-candidate arrays that a kernel builds per block
 _JOINT_BYTES = 32 << 20
 
 # bytes of a block that one task of ``runner.share`` reduces
@@ -110,38 +109,47 @@ def _blockwise(n, row_bytes, build, reduce):
 
 def epig_scores(model, X, targets):
     """EPIG for a batch of candidate inputs, shape (N,)."""
-    cond_x, w = model.conditionals(X), model.sample_weights
+    X, w = as_inputs(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     M, K, C = cond_t.shape
-    # a row holds its joint and einsum's (C, K) operand copy of its conditionals
+    # a row holds its joint, its conditionals and any (C, K) copy einsum makes
     return _blockwise(
-        len(cond_x), (M * C + K) * C * 8,
-        lambda rows: np.einsum("nkc,mkd,k->nmcd", cond_x[rows], cond_t, w, optimize=True),
+        len(X), (M * C + 2 * K) * C * 8,
+        lambda rows: np.einsum("nkc,mkd,k->nmcd", model.conditionals(X[rows]), cond_t, w,
+                               optimize=True),
         lambda part: mutual_information_of_array(part).mean(axis=1))  # (part, M) -> (part,)
 
 
 def la_epig_scores(model, X, y, targets):
     """LA-EPIG for candidate pairs; degenerate candidates come back as NaN."""
-    y = as_labels(y, model.num_classes, count=len(as_inputs(X)))
-    cond_x, w = model.conditionals(X), model.sample_weights
+    X, w = as_inputs(X), model.sample_weights
+    y = as_labels(y, model.num_classes, count=len(X))
     cond_t = model.conditionals(targets.inputs)  # (M, K, C)
     prior = np.einsum("k,mkc->mc", w, cond_t)
     h_prior = entropy_of_array(prior).mean()
 
     M, K, C = cond_t.shape
     flat_t = cond_t.transpose(1, 0, 2).reshape(K, M * C)
-    evidence, index = np.empty(len(y)), np.arange(len(y))
+    evidence = np.empty(len(y))
 
     def updated(rows):
         # the add-one-in weights, then the (rows, M, C) predictives as one
         # BLAS matmul over the flattened (target, class) axis
-        evidence[rows], w_post = add_one_in(w, cond_x[index[rows], :, y[rows]])
+        lik = model.conditionals(X[rows])[np.arange(rows.stop - rows.start), :, y[rows]]
+        evidence[rows], w_post = add_one_in(w, lik)
         return (w_post @ flat_t).reshape(-1, M, C)
 
-    # a row holds `updated` and add_one_in's four (K,) arrays
-    scores = h_prior - _blockwise(len(y), (M * C + 4 * K) * 8, updated,
+    # a row holds `updated`, its conditionals and add_one_in's four (K,) arrays
+    scores = h_prior - _blockwise(len(y), (M * C + K * C + 4 * K) * 8, updated,
                                   lambda part: entropy_of_array(part).mean(axis=1))
     scores[~(evidence > 0.0)] = np.nan  # the rows add_one_in left at zero
+    return scores
+
+
+def _log_gain(masses, ok, eta=1.0):
+    """-log(a) + eta * log(b) of each row (a, b) of ``masses`` where ``ok``, else NaN."""
+    scores = np.full(len(masses), np.nan)
+    scores[ok] = -np.log(masses[ok, 0]) + eta * np.log(masses[ok, 1])
     return scores
 
 
@@ -151,38 +159,43 @@ def mic_scores(model, X, y, eta=1.0):
     The Dirichlet model is scored with its exact conjugate predictives;
     sample-based models through the second moment of the likelihood.
     """
-    y = as_labels(y, model.num_classes, count=len(as_inputs(X)))
-    rows = np.arange(len(y))
-    if isinstance(model, DirichletHistogramClassifier):
-        # a_y / sum(a) before the update, (a_y + 1) / sum(a with a_y + 1) after
-        bins = model.bin_indices(X).tolist()
-        alpha = np.array([model.concentrations(b) for b in bins]).reshape(-1, model.num_classes)
-        prior_mass = alpha[rows, y] / alpha.sum(axis=1)
-        alpha[rows, y] += 1.0
-        post_mass = alpha[rows, y] / alpha.sum(axis=1)
-        ok = prior_mass > 0.0
-    else:
-        cond_x, w = model.conditionals(X), model.sample_weights
-        lik = cond_x[rows, :, y]  # (N, K)
+    X, w, C = as_inputs(X), model.sample_weights, model.num_classes
+    y = as_labels(y, C, count=len(X))
+
+    def masses(rows):  # (rows, 2): the label's mass before and after the update
+        if isinstance(model, DirichletHistogramClassifier):
+            # a_y / sum(a) before the update, (a_y + 1) / sum(a with a_y + 1) after
+            bins = model.bin_indices(X[rows]).tolist()
+            alpha = np.array([model.concentrations(b) for b in bins]).reshape(-1, C)
+            at = np.arange(len(alpha)), y[rows]
+            prior_mass = alpha[at] / alpha.sum(axis=1)
+            alpha[at] += 1.0
+            return np.column_stack([prior_mass, alpha[at] / alpha.sum(axis=1)])
+        lik = model.conditionals(X[rows])[np.arange(rows.stop - rows.start), :, y[rows]]
         prior_mass = lik @ w
         ok = prior_mass > 0.0
         post_mass = np.zeros_like(prior_mass)
         post_mass[ok] = ((lik[ok] ** 2) @ w) / prior_mass[ok]
-    scores = np.full(len(y), np.nan)
-    scores[ok] = -np.log(prior_mass[ok]) + eta * np.log(post_mass[ok])
-    return scores
+        return np.column_stack([prior_mass, post_mass])
+
+    # a row holds its conditionals, its likelihoods and their squares
+    return _blockwise(len(y), (C + 2) * len(w) * 8, masses,
+                      lambda part: _log_gain(part, part[:, 0] > 0.0, eta))
 
 
 def rho_loss_scores(model, aux_model, X, y):
     """Model NLL minus holdout-model NLL; NaN where either mass is zero."""
-    y = as_labels(y, model.num_classes, count=len(as_inputs(X)))
-    idx = np.arange(len(y))
-    p_model = model.marginal_predict_batch(X)[idx, y]
-    p_aux = aux_model.marginal_predict_batch(X)[idx, y]
-    scores = np.full(len(y), np.nan)
-    ok = (p_model > 0.0) & (p_aux > 0.0)
-    scores[ok] = -np.log(p_model[ok]) + np.log(p_aux[ok])
-    return scores
+    X = as_inputs(X)
+    y = as_labels(y, model.num_classes, count=len(X))
+
+    def masses(rows):  # (rows, 2): each model's predictive mass on the label
+        at = np.arange(rows.stop - rows.start), y[rows]
+        return np.column_stack([m.marginal_predict_batch(X[rows])[at] for m in (model, aux_model)])
+
+    # a row holds one model's conditionals and its two (C,) predictives
+    K = max(len(model.sample_weights), len(aux_model.sample_weights))
+    return _blockwise(len(y), (K + 2) * model.num_classes * 8, masses,
+                      lambda part: _log_gain(part, np.all(part > 0.0, axis=1)))
 
 
 # --- scalar operations ------------------------------------------------------

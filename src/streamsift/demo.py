@@ -91,9 +91,14 @@ def build_demo_model(problem, extra_inputs, num_hypotheses=256, seed=0):
     biases = rng.normal(0.0, 1.0, size=num_hypotheses)
     sq = ((grid[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     feats = np.exp(-sq / (2.0 * lengthscale ** 2))  # (G, R)
-    logits = feats @ weights.T + biases  # (G, J)
-    p1 = 1.0 / (1.0 + np.exp(-logits))
-    tables = np.stack([1.0 - p1.T, p1.T], axis=2)  # (J, G, 2)
+    # the (J, G, 2) tables, written a few hypotheses at a time: whole (G, J)
+    # logits and probabilities would hold as much again as the tables
+    tables = np.empty((num_hypotheses, len(grid), 2))
+    for j in range(0, num_hypotheses, 16):
+        logits = feats @ weights[j:j + 16].T + biases[j:j + 16]  # (G, 16)
+        p1 = 1.0 / (1.0 + np.exp(-logits))
+        tables[j:j + 16, :, 0] = 1.0 - p1.T
+        tables[j:j + 16, :, 1] = p1.T
     model = FiniteHypothesisModel(grid, tables)
     model.fit(problem.training_set)
     return model

@@ -135,5 +135,6 @@ class FiniteHypothesisModel(Model):
 
     def conditionals(self, X):
         idx = self.grid_indices(X)
-        # tables is (J, G, C); gather to (N, J, C)
-        return self.tables[:, idx, :].transpose(1, 0, 2)
+        # tables is (J, G, C); gather to (N, J, C) with (J, N, C) memory, the
+        # forest's layout, which EPIG's einsum reads without a copy
+        return np.take(self.tables, idx, axis=1).transpose(1, 0, 2)

@@ -5,6 +5,8 @@ Everything here works in natural log (nats). Probabilities below
 0*log(0) contributes 0 without producing NaNs from underflow.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, ValidationError
@@ -34,17 +36,25 @@ def check_probs(p, name, axis=None):
     whole array when None) lies within ``SUM_ATOL`` of 1. Shapes are the caller's."""
     if np.any(p < -SUM_ATOL):
         raise ValidationError(f"negative {name} entry: min={p.min()}")
-    if axis is None:
-        total = p.sum()
-    else:  # add the slices along the axis in place: numpy's sum would reduce
-        # each short run of entries along it on its own
-        parts = np.moveaxis(p, axis, 0)
-        total = parts[0].copy(order="K") if len(parts) else np.zeros(parts.shape[1:])
-        for part in parts[1:]:
-            total += part
-    off = np.abs(total - 1.0)
+    # `- 1.0` and `abs` reuse the sums' temporary in place
+    off = abs((p.sum() if axis is None else _sum(p, axis)) - 1.0)
     if np.any(off > SUM_ATOL):
         raise ValidationError(f"{name} must sum to 1, off by up to {off.max()}")
+
+
+def _sum(a, axis):
+    """``a.sum(axis=axis)``, bit for bit and in the same memory order: fewer than 8
+    summed entries (of a tuple of axes, in C order) are added in order as slices
+    onto a ``zeros_like``, as numpy adds so few, but in one pass, not per output."""
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    lengths = [a.shape[i] for i in axes]
+    if not 0 < math.prod(lengths) < 8:
+        return a.sum(axis=axis)
+    parts = np.moveaxis(a, axes, range(len(axes)))
+    total = np.zeros_like(parts[(0,) * len(axes)])
+    for index in np.ndindex(*lengths):
+        total += parts[index]
+    return total
 
 
 class Categorical:
@@ -95,7 +105,7 @@ def entropy_of_array(p, axis=-1):
     t = np.where(p > ZERO_EPS, p, 1.0)
     np.log(t, out=t)
     np.multiply(p, t, out=t)
-    return -t.sum(axis=axis)
+    return -_sum(t, axis)
 
 
 def entropy(p):
@@ -160,8 +170,10 @@ def mutual_information_of_array(joint):
     layout, so that a later reduction over it sums in one order.
     """
     j = np.asarray(joint, dtype=float)
-    mi = (entropy_of_array(j.sum(axis=-1)) + entropy_of_array(j.sum(axis=-2))
-          - entropy_of_array(j.reshape(j.shape[:-2] + (-1,))))
+    # a joint of 8 or more cells is flattened first (a copy of a strided joint)
+    h_joint = (entropy_of_array(j, axis=(-2, -1)) if j.shape[-2] * j.shape[-1] < 8
+               else entropy_of_array(j.reshape(j.shape[:-2] + (-1,))))
+    mi = entropy_of_array(_sum(j, -1)) + entropy_of_array(_sum(j, -2)) - h_joint
     if np.any(mi < -SUM_ATOL):
         raise ValidationError(f"mutual information below -{SUM_ATOL}: min={mi.min()}")
     return np.maximum(mi, 0.0, order="C")

@@ -10,6 +10,11 @@ import numpy as np
 _FILLS = [f"#{v:02x}{v:02x}{v:02x}" for v in range(256)] + ["url(#hatch)"]
 
 
+def _text(value):
+    """``value`` as XML character data: ``&``, ``<`` and ``>`` escaped."""
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def heatmap_svg(values, title="", cell_px=8):
     """Render a 2-d array as a grayscale heatmap (darker = higher value).
 
@@ -45,7 +50,7 @@ def heatmap_svg(values, title="", cell_px=8):
         "<line x1=\"0\" y1=\"0\" x2=\"0\" y2=\"4\" stroke=\"#cc0000\" stroke-width=\"1.5\"/>"
         "</pattern></defs>",
         f'<text x="{margin}" y="{margin - 12}" font-family="monospace" '
-        f'font-size="12">{title}</text>',
+        f'font-size="12">{_text(title)}</text>',
     ]
     # row 0 of the grid is drawn at the bottom so the y-axis points up
     for i, row in enumerate(fill):
@@ -99,7 +104,8 @@ def learning_curve_svg(step_labels, mean, stderr, title=""):
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<text x="{ml}" y="{mt - 10}" font-family="monospace" font-size="13">{title}</text>',
+        f'<text x="{ml}" y="{mt - 10}" font-family="monospace" '
+        f'font-size="13">{_text(title)}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
     ]
     band = [(sx(i), sy(mean[i] + stderr[i])) for i in range(len(mean))]
@@ -115,7 +121,7 @@ def learning_curve_svg(step_labels, mean, stderr, title=""):
     for i, lab in enumerate(step_labels):
         parts.append(
             f'<text x="{sx(i):.2f}" y="{height - mb + 16}" text-anchor="middle" '
-            f'font-family="monospace" font-size="10">{lab}</text>'
+            f'font-family="monospace" font-size="10">{_text(lab)}</text>'
         )
     for frac in (0.0, 0.5, 1.0):
         v = lo + frac * (hi - lo)

@@ -20,7 +20,7 @@ from streamsift.demo import (
     two_bells_problem,
     write_grid_csv,
 )
-from streamsift.svgrender import heatmap_svg
+from streamsift.svgrender import heatmap_svg, learning_curve_svg
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +220,19 @@ class TestWriters:
         assert re.findall(r">(\S+)</text>", svg)[-2:] == [
             f"{np.nanmax(values[np.isfinite(values)]):.4g}",
             f"{np.nanmin(values[np.isfinite(values)]):.4g}"]
+
+
+    @pytest.mark.parametrize("title", ["a < b & c", "x > y", "&amp;", "<b>bold</b>"])
+    def test_titles_are_escaped(self, title):
+        """A title or step label holding XML markup still gives a document
+        that parses, with the text as given; plain titles keep their bytes."""
+        for svg in (heatmap_svg([[1.0]], title=title),
+                    learning_curve_svg([title, "1"], [0.5, 0.6], [0.1, 0.1], title=title)):
+            texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+            assert title in texts
+        assert texts.count(title) == 2  # the curve's title and its first step label
+        assert heatmap_svg([[1.0]], title="la_epig (flip)") == old_heatmap_svg(
+            [[1.0]], title="la_epig (flip)")
 
 
 class TestRenderHeatmaps:

@@ -20,6 +20,7 @@ from streamsift import (
     DataFormatError,
     DegenerateEvidenceError,
     DirichletHistogramClassifier,
+    DropoutMLP,
     FiniteHypothesisModel,
     GridLookupError,
     LabelledExample,
@@ -109,6 +110,19 @@ def loop_dirichlet_mic(model, X, y, eta):
     return scores
 
 
+def old_mic_scores(model, X, y, eta=1.0):
+    """Sample-based MIC over the whole pool's conditionals at once."""
+    cond_x, w = model.conditionals(X), model.sample_weights
+    lik = cond_x[np.arange(len(y)), :, y]
+    prior_mass = lik @ w
+    ok = prior_mass > 0.0
+    post_mass = np.zeros_like(prior_mass)
+    post_mass[ok] = ((lik[ok] ** 2) @ w) / prior_mass[ok]
+    scores = np.full(len(y), np.nan)
+    scores[ok] = -np.log(prior_mass[ok]) + eta * np.log(post_mass[ok])
+    return scores
+
+
 def old_entropy_of_array(p, axis=-1):
     """Entropy with separate ``where``, ``log`` and product temporaries."""
     p = np.asarray(p, dtype=float)
@@ -132,7 +146,10 @@ def old_epig_scores(model, X, targets):
     cond_x, w = model.conditionals(X), model.sample_weights
     cond_t = model.conditionals(targets.inputs)
     joint = np.einsum("nkc,mkd,k->nmcd", cond_x, cond_t, w, optimize=True)
-    return old_mutual_information_of_array(joint).mean(axis=1)
+    # the mean over the targets in C order, as the kernel takes it: einsum can
+    # return a joint whose candidate axis is the fastest (at K=2, say), and a
+    # mean over that layout adds the targets in another order
+    return np.ascontiguousarray(old_mutual_information_of_array(joint)).mean(axis=1)
 
 
 def _old_gini(counts):
@@ -758,6 +775,37 @@ class TestForestPrediction:
             assert np.shares_memory(tree.feature, model._nodes.feature)
 
 
+class TestBlockConditionals:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 120), st.integers(2, 4), st.data())
+    def test_rows_of_a_block_are_rows_of_the_whole(self, seed, N, C, data):
+        """The kernels compute each candidate block's conditionals on their
+        own: ``conditionals(X[a:b])`` is ``conditionals(X)[a:b]``, bit for bit,
+        for the forest, the finite and the Dirichlet model. The dropout MLP's
+        matrix products round by their row count, so its rows agree to 1e-12."""
+        a = data.draw(st.integers(0, N))
+        b = data.draw(st.integers(a, N))
+        rng = np.random.default_rng(seed)
+        X, y = rng.uniform(-1.0, 1.0, size=(30, 2)), np.arange(30) % C
+        examples = [LabelledExample(x, int(c)) for x, c in zip(X, y)]
+        Q = rng.uniform(-1.0, 1.0, size=(N, 2))
+        finite, _ = random_ensemble(rng, int(rng.integers(1, 9)), C, 6)
+        models = [
+            (BootstrapForest(C, num_trees=int(rng.integers(1, 9)), max_depth=4,
+                             seed=seed % 1000).fit(examples), Q),
+            (finite, rng.integers(0, 6, size=N).astype(float)[:, None]),
+            (DirichletHistogramClassifier(C, [-1.0, -1.0], [1.0, 1.0], bins_per_dim=3,
+                                          num_samples=5, seed=seed % 1000).fit(examples), Q),
+        ]
+        for model, inputs in models:
+            assert np.array_equal(model.conditionals(inputs[a:b]),
+                                  model.conditionals(inputs)[a:b])
+        mlp = DropoutMLP(2, C, hidden=(8,), max_steps=3, num_samples=4, seed=seed % 1000)
+        mlp.fit(examples)
+        assert np.allclose(mlp.conditionals(Q[a:b]), mlp.conditionals(Q)[a:b],
+                           rtol=0.0, atol=1e-12)
+
+
 # --- entropy and mutual information -------------------------------------------
 
 
@@ -775,15 +823,55 @@ def assert_same_array(new, old):
 
 
 class TestMutualInformationKernel:
-    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 4, 4)])
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 4, 4),
+                                       (2, 2), (3, 2, 2), (2, 3, 2, 2)])
     def test_small_stacks_and_single_joint(self, shape):
+        """Joints of 25, 16 and 4 cells, in C order and in the class-major
+        layout of EPIG's einsum joint."""
         rng = np.random.default_rng(len(shape))
         joint = rng.dirichlet(np.ones(shape[-1] ** 2), size=shape[:-2])
         joint = joint.reshape(shape)
-        new = prob.mutual_information_of_array(joint)
-        old = old_mutual_information_of_array(joint)
-        assert np.shape(new) == np.shape(old)
+        class_major = np.moveaxis(
+            np.ascontiguousarray(np.moveaxis(joint, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+        for j in (joint, class_major):
+            new = prob.mutual_information_of_array(j)
+            old = old_mutual_information_of_array(j)
+            assert np.shape(new) == np.shape(old)
+            assert np.array_equal(new, old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9),
+           st.lists(st.integers(1, 4), max_size=3), st.data())
+    def test_short_axis_sum_matches_numpy(self, seed, n, other, data):
+        """``prob._sum`` against numpy's own sum over an axis of 1-9 entries,
+        at any position, in C, Fortran and strided layouts, with zeros of both
+        signs: the same bits, sign of zero included, and the same strides on
+        every axis of more than one entry (a length-1 axis's stride is never
+        used); and two trailing axes of fewer than 8 entries against their
+        flattened sum."""
+        pos = data.draw(st.integers(0, len(other)))
+        shape = (*other[:pos], n, *other[pos:])
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=shape)
+        a[rng.uniform(size=shape) < 0.2] = 0.0
+        a[rng.uniform(size=shape) < 0.2] = -0.0
+        layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided":  # every other entry on every axis of a larger array
+            big = np.zeros(tuple(2 * k for k in shape))
+            big[(slice(None, None, 2),) * len(shape)] = a
+            a = big[(slice(None, None, 2),) * len(shape)]
+        axis = data.draw(st.sampled_from([pos, pos - len(shape)]))
+        new, old = prob._sum(a, axis), a.sum(axis=axis)
         assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+        assert np.shape(new) == np.shape(old)
+        assert [s for s, k in zip(np.asarray(new).strides, np.shape(new)) if k > 1] == [
+            s for s, k in zip(np.asarray(old).strides, np.shape(old)) if k > 1]
+        if a.ndim >= 2 and a.shape[-2] * a.shape[-1] < 8:
+            flat = a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
+            assert np.array_equal(prob._sum(a, (-2, -1)), flat)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("axis", [-1, 0])
@@ -813,38 +901,57 @@ class TestMutualInformationKernel:
 
 
 class FixedConditionals:
-    """A model with fixed conditionals: ``cond_x`` for the candidate batch
-    ``X``, ``cond_t`` for the targets. They exist before a kernel runs, so its
-    traced memory leaves them out."""
+    """A model with fixed conditionals: ``cond_x`` for the candidates,
+    ``cond_t`` for the targets. A candidate's one feature is its index, a
+    target's is -1. Consecutive candidates, as a kernel's blocks ask for,
+    get a view: the conditionals exist before a kernel runs, so its traced
+    memory leaves them out."""
 
-    def __init__(self, X, cond_x, cond_t, weights):
-        self.X, self.cond_x, self.cond_t = X, cond_x, cond_t
+    def __init__(self, cond_x, cond_t, weights):
+        self.cond_x, self.cond_t = cond_x, cond_t
         self.sample_weights = weights
         self.num_classes = cond_x.shape[2]
 
     def conditionals(self, X):
-        return self.cond_x if X is self.X else self.cond_t
+        rows = np.asarray(X)[:, 0].astype(int)
+        if len(rows) and rows[0] < 0:
+            return self.cond_t
+        start = rows[0] if len(rows) else 0
+        if np.array_equal(rows, np.arange(start, start + len(rows))):
+            return self.cond_x[start:start + len(rows)]
+        return self.cond_x[rows]
 
 
 def fixed_case(rng, N, M, K, C):
     """A :class:`FixedConditionals` model on N candidates, their labels and
     M targets."""
-    X = np.zeros((N, 1))
-    model = FixedConditionals(X, random_conditionals(rng, N, K, C),
+    model = FixedConditionals(random_conditionals(rng, N, K, C),
                               random_conditionals(rng, M, K, C), rng.dirichlet(np.ones(K)))
-    return model, X, rng.integers(0, C, size=N), TargetSet(np.zeros((M, 1)))
+    return (model, np.arange(N, dtype=float)[:, None], rng.integers(0, C, size=N),
+            TargetSet(np.full((M, 1), -1.0)))
 
 
 # bytes per candidate of each kernel's blocks, at M targets, K samples and C classes
-ROW_BYTES = {"epig": lambda M, K, C: (M * C + K) * C * 8,
-             "la_epig": lambda M, K, C: (M * C + 4 * K) * 8}
+ROW_BYTES = {"epig": lambda M, K, C: (M * C + 2 * K) * C * 8,
+             "la_epig": lambda M, K, C: (M * C + K * C + 4 * K) * 8,
+             "mic": lambda M, K, C: (C + 2) * K * 8}
+
+
+def kernel(objective, model, X, y, targets):
+    """Scores of one objective."""
+    if objective == "epig":
+        return epig_scores(model, X, targets)
+    return mic_scores(model, X, y) if objective == "mic" else la_epig_scores(model, X, y, targets)
 
 
 def kernel_pair(objective, model, X, y, targets):
     """(new, old) scores of one objective."""
     if objective == "epig":
-        return epig_scores(model, X, targets), old_epig_scores(model, X, targets)
-    return la_epig_scores(model, X, y, targets), old_la_epig_scores(model, X, y, targets)
+        old = old_epig_scores(model, X, targets)
+    else:
+        old = (old_mic_scores(model, X, y) if objective == "mic"
+               else old_la_epig_scores(model, X, y, targets))
+    return kernel(objective, model, X, y, targets), old
 
 
 class TestCandidateBlocks:
@@ -866,7 +973,7 @@ class TestCandidateBlocks:
             assert max(sizes) * row_bytes <= budget or clamped
             assert len(blocks) == 1 or -(-n // (len(blocks) - 1)) * row_bytes > budget
 
-    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic"])
     @pytest.mark.parametrize("size", ["harness", "largest"])
     def test_one_block_is_bit_identical(self, objective, size):
         """The harness shape (N=200, M=128, K=32, C=10) and the largest N that
@@ -884,7 +991,7 @@ class TestCandidateBlocks:
                                TargetSet(rng.normal(size=(128, 4))))
         assert np.array_equal(new, old, equal_nan=True)
 
-    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic"])
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12),
            st.integers(1, 10), st.integers(2, 5), st.integers(1, 1 << 14))
@@ -922,15 +1029,14 @@ class TestCandidateBlocks:
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                scores = (epig_scores(model, X, targets) if objective == "epig"
-                          else la_epig_scores(model, X, y, targets))
+                scores = kernel(objective, model, X, y, targets)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
             assert scores.shape == (8000,)
             assert peak - scores.nbytes < acquisition._JOINT_BYTES + 4 * 2**20, (K, C)
 
-    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic"])
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 130),
            st.integers(1, 40), st.integers(2, 10), st.booleans())
@@ -952,6 +1058,40 @@ class TestCandidateBlocks:
                     mp.setattr(runner, "_CPUS", cpus)
                     new = kernel_pair(objective, model, X, y, targets)[0]
                 assert np.array_equal(new, old, equal_nan=True)
+
+    @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic"])
+    def test_score_pool_memory_does_not_grow_with_the_pool(self, objective):
+        """``score_pool`` with a forest, whose conditionals (K=32 trees, C=10:
+        2,560 B per candidate) are computed on call, and blocks of at most
+        1 MiB, so that N=1,000 already spans more than one block. Beyond what
+        it returns, its traced peak at N=8,000 stays within 512 KiB of the
+        peak at N=1,000: that allows 75 B per added candidate for the (N,)
+        arrays. Whole-pool conditionals grew it by 19 to 21 MB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        data = [LabelledExample(x, int(c)) for x, c in zip(rng.normal(size=(60, 2)),
+                                                           np.arange(60) % 10)]
+        model = BootstrapForest(10, num_trees=32, max_depth=4, seed=0).fit(data)
+        targets = TargetSet(rng.normal(size=(64, 2)))
+
+        def peak_beyond_result(N):
+            pool = [LabelledExample(x, int(c)) for x, c in zip(rng.normal(size=(N, 2)),
+                                                               rng.integers(0, 10, size=N))]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(acquisition, "_JOINT_BYTES", 1 << 20)
+                assert len(acquisition._candidate_blocks(
+                    1000, ROW_BYTES[objective](64, 32, 10), 1 << 20)) > 1
+                tracemalloc.start()
+                try:
+                    ranking = acquisition.score_pool(objective, model, pool, targets)
+                    kept, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert len(ranking) == N
+            return peak - kept
+
+        assert peak_beyond_result(8000) < peak_beyond_result(1000) + 512 * 2**10
 
     def test_task_memory_does_not_grow_with_the_block(self):
         """EPIG with its N=400, M=128, C=10 joint (41 MB) in one block: the
