@@ -184,6 +184,12 @@ def write_grid_csv(grid, path):
 
 
 def read_grid_csv(path):
+    """The :class:`ScoreGrid` that :func:`write_grid_csv` wrote to ``path``.
+
+    A bad header, a row of the wrong width or a cell that is no number
+    raises :class:`DataFormatError` naming its row (0 is the header) and,
+    for a cell, its column.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
@@ -191,20 +197,37 @@ def read_grid_csv(path):
         parts = header[2:].split()
         if len(parts) != 7:
             raise DataFormatError(f"malformed grid header in {path}")
-        xmin, xmax, ymin, ymax = (float(p) for p in parts[:4])
-        resolution = int(parts[4])
+        try:
+            xmin, xmax, ymin, ymax = (float(p) for p in parts[:4])
+            resolution = int(parts[4])
+        except ValueError as exc:
+            raise DataFormatError(f"malformed grid header in {path} ({exc})", row=0) from None
         rows = []
-        for line in fh:
+        for row_num, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append([float("nan") if v == "NaN" else float(v)
-                             for v in line.split(",")])
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != resolution:
+                raise DataFormatError(
+                    f"expected {resolution} values, found {len(cells)}", row=row_num
+                )
+            rows.append([_grid_cell(v, row_num, col) for col, v in enumerate(cells)])
     values = np.asarray(rows, dtype=float)
     if values.shape != (resolution, resolution):
         raise DataFormatError(
             f"grid body {values.shape} does not match resolution {resolution}"
         )
     return ScoreGrid(values, xmin, xmax, ymin, ymax, resolution, parts[5], parts[6])
+
+
+def _grid_cell(field, row, column):
+    try:
+        return float(field)
+    except ValueError:
+        raise DataFormatError(
+            f"grid value {field!r} is not a number", row=row, column=column
+        ) from None
 
 
 def distance_to_training(problem, X):

@@ -172,7 +172,7 @@ def mutual_information_of_array(joint):
     j = np.asarray(joint, dtype=float)
     # a joint of 8 or more cells is flattened first (a copy of a strided joint)
     h_joint = (entropy_of_array(j, axis=(-2, -1)) if j.shape[-2] * j.shape[-1] < 8
-               else entropy_of_array(j.reshape(j.shape[:-2] + (-1,))))
+               else entropy_of_array(j.reshape(j.shape[:-2] + (j.shape[-2] * j.shape[-1],))))
     mi = entropy_of_array(_sum(j, -1)) + entropy_of_array(_sum(j, -2)) - h_joint
     if np.any(mi < -SUM_ATOL):
         raise ValidationError(f"mutual information below -{SUM_ATOL}: min={mi.min()}")

@@ -177,6 +177,16 @@ class TestEpig:
             )
             assert epig(m, x, targets) == pytest.approx(mix, abs=1e-9)
 
+    def test_no_candidates(self):
+        """Three classes (9-cell joints), as the other kernels: shape (0,)."""
+        m = make_finite(np.random.default_rng(3), 4, 3)
+        m.fit([])
+        X, y, targets = np.zeros((0, 1)), np.zeros(0, dtype=int), TargetSet([[1.0], [2.0]])
+        assert epig_scores(m, X, targets).shape == (0,)
+        for scores in (la_epig_scores(m, X, y, targets), mic_scores(m, X, y),
+                       rho_loss_scores(m, m, X, y)):
+            assert scores.shape == (0,)
+
     def test_nonnegative_fuzz(self):
         rng = np.random.default_rng(19)
         for _ in range(300):

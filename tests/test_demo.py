@@ -9,6 +9,7 @@ import pytest
 
 from streamsift import TargetSet
 from streamsift.acquisition import epig_scores
+from streamsift.errors import DataFormatError
 from streamsift.demo import (
     ScoreGrid,
     build_demo_model,
@@ -65,6 +66,18 @@ class TestGridCsv:
         assert back.objective == "epig" and back.label_mode == "none"
         assert np.isnan(back.values[0, 1])
         assert back.values[1, 0] == 3.5
+
+    @pytest.mark.parametrize("text, where", [
+        ("# -5.0 5.0 -5.0 5.0 2 epig none\n1.0,2.0\n0.1,abc\n", "(row 2, column 1)"),
+        ("# -5.0 5.0 -5.0 5.0 two epig none\n1.0,2.0\n0.1,0.2\n", "(row 0)"),
+        ("# -5.0 5.0 -5.0 5.0 2 epig none\n1.0,2.0\n0.1\n", "(row 2)"),
+    ], ids=["bad-cell", "bad-resolution", "ragged-row"])
+    def test_unreadable_grid_names_its_place(self, tmp_path, text, where):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            read_grid_csv(path)
+        assert str(info.value).endswith(where)
 
     def test_cell_axis_covers_box_exactly(self):
         xs = cell_axis(-5.0, 5.0, 4)

@@ -34,10 +34,10 @@ from streamsift import (
     runner,
     save_csv,
 )
-from streamsift.acquisition import epig_scores, la_epig_scores, mic_scores
+from streamsift.acquisition import epig_scores, la_epig_scores, mic_scores, rho_loss_scores
 from streamsift.demo import cell_centers
 from streamsift.models import forest
-from streamsift.models.base import add_one_in
+from streamsift.models.base import Model, add_one_in
 from streamsift.models.finite import GRID_ATOL
 from streamsift.prob import SUM_ATOL, ZERO_EPS, entropy_of_array
 from streamsift.rng import rng_from
@@ -839,6 +839,11 @@ class TestMutualInformationKernel:
             assert np.shape(new) == np.shape(old)
             assert np.array_equal(new, old)
 
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3, 3), (0, 2, 2)])
+    def test_empty_stacks(self, shape):
+        """No joints, of 9 cells (flattened) and of 4: an empty result."""
+        assert prob.mutual_information_of_array(np.zeros(shape)).shape == shape[:-2]
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9),
            st.lists(st.integers(1, 4), max_size=3), st.data())
@@ -921,6 +926,8 @@ class FixedConditionals:
             return self.cond_x[start:start + len(rows)]
         return self.cond_x[rows]
 
+    marginal_predict_batch = Model.marginal_predict_batch
+
 
 def fixed_case(rng, N, M, K, C):
     """A :class:`FixedConditionals` model on N candidates, their labels and
@@ -934,7 +941,8 @@ def fixed_case(rng, N, M, K, C):
 # bytes per candidate of each kernel's blocks, at M targets, K samples and C classes
 ROW_BYTES = {"epig": lambda M, K, C: (M * C + 2 * K) * C * 8,
              "la_epig": lambda M, K, C: (M * C + K * C + 4 * K) * 8,
-             "mic": lambda M, K, C: (C + 2) * K * 8}
+             "mic": lambda M, K, C: (C + 2) * K * 8,
+             "rho_loss": lambda M, K, C: (K + 2) * C * 8}
 
 
 def kernel(objective, model, X, y, targets):
@@ -1008,28 +1016,35 @@ class TestCandidateBlocks:
         if objective == "epig":
             assert np.all(new >= 0.0)
 
-    @pytest.mark.parametrize("objective", ["epig", "la_epig"])
+    @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic", "rho_loss"])
     def test_memory_is_one_block(self, objective):
         """N=8,000 candidates, M=64 targets, K=8 samples, C=10, and also
         the demo's K=256, C=2: EPIG's whole joint would be 410 MB, LA-EPIG's
         updated predictives 41 MB; at K=256 einsum's copy of EPIG's
-        conditionals would be 33 MB and each of LA-EPIG's add-one-in arrays
-        16 MB. Beyond the inputs, the conditionals and the (N,) result, a
-        kernel holds one block's arrays, within the budget, plus a few MiB
-        that do not grow with the pool: a task of about 1 MiB on each of two
-        threads, each with its copies and entropy buffer."""
+        conditionals would be 33 MB, each of LA-EPIG's add-one-in arrays
+        16 MB, MIC's likelihoods and their squares 16 MB each, and RHO-LOSS
+        is charged 33 MB for a model's conditionals. MIC and RHO-LOSS are
+        one block at K=8, C=10, so they run only the demo's shape. Beyond the
+        inputs, the conditionals and the (N,) result, a kernel holds one
+        block's arrays, within the budget, plus a few MiB that do not grow
+        with the pool: a task of about 1 MiB on each of two threads, each
+        with its copies and entropy buffer."""
         import tracemalloc
 
-        for K, C in [(8, 10), (256, 2)]:
+        shapes = [(256, 2)] if objective in ("mic", "rho_loss") else [(8, 10), (256, 2)]
+        for K, C in shapes:
             rng = np.random.default_rng(8)
             model, X, y, targets = fixed_case(rng, 8000, 64, K, C)
+            aux = FixedConditionals(random_conditionals(rng, 8000, K, C), model.cond_t,
+                                    rng.dirichlet(np.ones(K)))
             row_bytes = ROW_BYTES[objective](64, K, C)
             assert len(acquisition._candidate_blocks(8000, row_bytes,
                                                      acquisition._JOINT_BYTES)) > 1
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                scores = kernel(objective, model, X, y, targets)
+                scores = (rho_loss_scores(model, aux, X, y) if objective == "rho_loss"
+                          else kernel(objective, model, X, y, targets))
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
