@@ -13,14 +13,19 @@ makes EPIG non-negative by construction and ties it to LA-EPIG through
 EPIG(x) = sum_c p(y=c|x) * LA-EPIG(x, c).
 
 Every objective but random scores the candidates through one loop,
-``_blockwise``, so its memory does not grow with the pool: each block of at
-most ``_JOINT_BYTES`` (21 MiB, so that the criterion-07 EPIG pool is one
-block) computes its candidates' conditionals and what the objective builds
+``_blockwise``, so its memory does not grow with the pool: each candidate
+block computes its candidates' conditionals and what the objective builds
 from them (EPIG's (M, C, C) joint, LA-EPIG's (M, C) updated predictives,
 MIC's and RHO-LOSS's label masses), reduced in tasks of about
-``_TASK_BYTES`` that :func:`runner.share` runs. A pool that fits one
-block is one expression over all its candidates; more blocks can move the
-last bits of a BLAS product, whose summation order follows the block's shape.
+``_TASK_BYTES``. A pool within ``_JOINT_BYTES`` (21 MiB, so that the
+criterion-07 EPIG pool fits) is one block, one expression over all its
+candidates, whose tasks :func:`runner.share` hands to the calling and the
+helper thread. A larger pool is cut into blocks within half that budget,
+and :func:`runner.share` hands out whole blocks, so both threads compute
+conditionals, joints and reductions, with two blocks in flight. Those
+blocks can move the last bits of a BLAS product, whose summation order
+follows the block's shape; the cut does not depend on the CPU count, so the
+bits do not either.
 
 MIC needs only the observed label's mass after the update. Sample-based
 models give it as E_w[lik^2] / E_w[lik], not as the updated weights times
@@ -44,11 +49,12 @@ from .runner import share
 OBJECTIVES = ("random", "mic", "epig", "la_epig", "rho_loss")
 TARGET_OBJECTIVES = ("epig", "la_epig")  # the objectives that score against targets
 
-# bytes of the per-candidate arrays that a kernel builds per block: the
-# fewest whole MiB that hold the criterion-07 EPIG pool (200 candidates of
+# bytes of the per-candidate arrays that a kernel holds at once: the fewest
+# whole MiB that hold the criterion-07 EPIG pool (200 candidates of
 # 107,520 B) in one block, whose bits ``test_one_block_is_bit_identical`` and
-# the benchmark's seed-0 ``harness_epig`` picks pin. The budget can go once
-# candidates within round-off of the best are ranked as ties.
+# the benchmark's seed-0 ``harness_epig`` picks pin; a larger pool runs two
+# blocks of at most half of it at a time. The budget can go once candidates
+# within round-off of the best are ranked as ties.
 _JOINT_BYTES = 21 << 20
 
 # bytes of a block that one task of ``runner.share`` reduces
@@ -92,23 +98,36 @@ def _candidate_blocks(n, row_bytes, budget, least=1):
 
 def _blockwise(n, row_bytes, build, reduce):
     """Scores of ``n`` candidates, shape (n,): ``build(rows)`` makes the
-    arrays of the candidates ``rows``, one even block under ``_JOINT_BYTES``
-    at a time, and ``reduce(part)`` scores rows of a block, in tasks of about
-    ``_TASK_BYTES`` for :func:`runner.share`. A task keeps its block's strides
-    and, with at least two rows, its loop order (numpy drops a length-1 axis
-    from it), and writes only its own scores: the bits do not depend on the
-    task size or the thread."""
+    arrays of the candidates ``rows`` at ``row_bytes`` per candidate, and
+    ``reduce(part)`` scores rows of such a block, in tasks of about
+    ``_TASK_BYTES``. A task keeps its block's strides and, with at least two
+    rows, its loop order (numpy drops a length-1 axis from it), and writes
+    only its own scores: the bits do not depend on the task size or the
+    thread.
+
+    A pool within ``_JOINT_BYTES`` is one block, built by the caller, whose
+    tasks :func:`runner.share` runs. A larger pool is cut into the fewest
+    even blocks within half the budget, whatever the CPU count, and
+    :func:`runner.share` runs whole blocks: the thread that takes a block
+    builds it and runs its tasks itself (a nested call), so the two blocks
+    in flight stay within the budget."""
     scores = np.empty(n)
 
     def task(dest, block, part):
         dest[part] = reduce(block[part])
 
-    for rows in _candidate_blocks(n, row_bytes, _JOINT_BYTES):
+    def run_block(rows):
         block = build(rows)
         parts = _candidate_blocks(len(block), block.itemsize * math.prod(block.shape[1:]),
                                   _TASK_BYTES, least=2)
         share([partial(task, scores[rows], block, part) for part in parts])
-        del block  # before the next block is built
+
+    blocks = _candidate_blocks(n, row_bytes, _JOINT_BYTES)
+    if len(blocks) == 1:
+        run_block(blocks[0])
+    else:
+        share([partial(run_block, rows)
+               for rows in _candidate_blocks(n, row_bytes, _JOINT_BYTES // 2)])
     return scores
 
 

@@ -15,6 +15,7 @@ flipped labels, written as CSV grids and grayscale SVG renderings.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .acquisition import TargetSet, epig_scores, la_epig_scores, mic_scores
 from .errors import DataFormatError
 from .models import FiniteHypothesisModel, LabelledExample, dataset_arrays
 from .rng import derive_seed, rng_from
+from .runner import share
 from .svgrender import heatmap_svg
 
 #: the five Figure-style panels: (objective, label mode)
@@ -91,14 +93,19 @@ def build_demo_model(problem, extra_inputs, num_hypotheses=256, seed=0):
     biases = rng.normal(0.0, 1.0, size=num_hypotheses)
     sq = ((grid[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     feats = np.exp(-sq / (2.0 * lengthscale ** 2))  # (G, R)
-    # the (J, G, 2) tables, written a few hypotheses at a time: whole (G, J)
-    # logits and probabilities would hold as much again as the tables
+    # the (J, G, 2) tables, written 16 hypotheses at a time: whole (G, J)
+    # logits and probabilities would hold as much again as the tables. Each
+    # chunk writes only its own rows, so the tables have the same bits
+    # whichever thread of runner.share writes a chunk.
     tables = np.empty((num_hypotheses, len(grid), 2))
-    for j in range(0, num_hypotheses, 16):
+
+    def write_chunk(j):
         logits = feats @ weights[j:j + 16].T + biases[j:j + 16]  # (G, 16)
         p1 = 1.0 / (1.0 + np.exp(-logits))
         tables[j:j + 16, :, 0] = 1.0 - p1.T
         tables[j:j + 16, :, 1] = p1.T
+
+    share([partial(write_chunk, j) for j in range(0, num_hypotheses, 16)])
     model = FiniteHypothesisModel(grid, tables)
     model.fit(problem.training_set)
     return model

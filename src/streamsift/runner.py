@@ -7,7 +7,14 @@ least two CPUs, the caller and one helper thread take tasks from a shared
 queue until it is empty; otherwise the caller runs them all, in order. The
 tasks must not depend on one another or on which thread runs them, so their
 results are the same whichever thread runs each. There is no option: the
-acquisition kernels' tasks and the forest's tree blocks both come here.
+acquisition kernels' candidate blocks and the forest's tree blocks both come
+here.
+
+One call owns the helper at a time. A call made while another owns it, such
+as a task's own call (a candidate block cutting its reduction into tasks) or
+a call from a second caller thread, runs its tasks on its own thread, in
+order, and queues nothing: a queued call would keep its tasks, and the
+arrays they hold, until the helper came free.
 """
 
 import os
@@ -21,6 +28,8 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _pool = None
 _pool_pid = None
 _pool_lock = threading.Lock()
+# held by the share call that owns the helper; a new one with each new pool
+_owner = threading.Lock()
 
 
 def _helper_pool():
@@ -30,11 +39,12 @@ def _helper_pool():
     ``import streamsift`` loads nothing for it."""
     from concurrent.futures import ThreadPoolExecutor
 
-    global _pool, _pool_pid
+    global _pool, _pool_pid, _owner
     with _pool_lock:
         if _pool is None or _pool_pid != os.getpid():
             _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="streamsift-helper")
             _pool_pid = os.getpid()
+            _owner = threading.Lock()  # a forked child's copy may be held
         return _pool
 
 
@@ -43,10 +53,24 @@ def share(tasks):
     each task run once by the calling thread or the helper thread. An
     exception of either thread's task empties the queue, so the other thread
     starts no further task, and re-raises here once the helper has stopped,
-    so no task runs once this returns."""
+    so no task runs once this returns. While another call owns the helper,
+    the calling thread runs every task itself."""
     tasks = list(tasks)
     if len(tasks) < 2 or _CPUS < 2:
         return [task() for task in tasks]
+    pool = _helper_pool()
+    owner = _owner
+    if not owner.acquire(blocking=False):
+        return [task() for task in tasks]
+    try:
+        return _run_shared(pool, tasks)
+    finally:
+        owner.release()
+
+
+def _run_shared(pool, tasks):
+    """``share`` with the helper owned: the caller and the helper take
+    ``tasks`` from one queue."""
     import queue  # with the first shared call, not with the package
 
     results = [None] * len(tasks)
@@ -69,12 +93,12 @@ def share(tasks):
                 pass
             raise
 
-    helper = _helper_pool().submit(drain)
+    helper = pool.submit(drain)
     try:
         drain()
     finally:
-        # a helper that never started (the pool busy with another call) is
-        # dropped; one that did is waited for, so it never writes into a
+        # a helper that never started (the pool busy with work of its own)
+        # is dropped; one that did is waited for, so it never writes into a
         # returned result, and its exception re-raises here
         if not helper.cancel():
             helper.result()

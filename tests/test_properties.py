@@ -4,6 +4,7 @@ the CSV readers on drawn matrices."""
 import os
 import sys
 import threading
+import weakref
 from concurrent import futures
 from functools import partial
 
@@ -1025,10 +1026,11 @@ class TestCandidateBlocks:
         16 MB, MIC's likelihoods and their squares 16 MB each, and RHO-LOSS
         is charged 33 MB for a model's conditionals. MIC and RHO-LOSS are
         one block at K=8, C=10, so they run only the demo's shape. Beyond the
-        inputs, the conditionals and the (N,) result, a kernel holds one
-        block's arrays, within the budget, plus a few MiB that do not grow
-        with the pool: a task of about 1 MiB on each of two threads, each
-        with its copies and entropy buffer."""
+        inputs, the conditionals and the (N,) result, a kernel holds the
+        arrays of at most two blocks, one per thread and each within half
+        the budget, plus a few MiB that do not grow with the pool: a task of
+        about 1 MiB on each of two threads, each with its copies and entropy
+        buffer."""
         import tracemalloc
 
         shapes = [(256, 2)] if objective in ("mic", "rho_loss") else [(8, 10), (256, 2)]
@@ -1073,6 +1075,32 @@ class TestCandidateBlocks:
                     mp.setattr(runner, "_CPUS", cpus)
                     new = kernel_pair(objective, model, X, y, targets)[0]
                 assert np.array_equal(new, old, equal_nan=True)
+
+    @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic", "rho_loss"])
+    def test_many_blocks_are_bit_identical_on_either_thread(self, objective):
+        """A pool of twelve blocks, each run by whichever thread takes it:
+        the same bits with the helper thread off and on, and with tasks of
+        two rows and of 1 MiB."""
+        rng = np.random.default_rng(21)
+        N, M, K, C = 240, 16, 8, 3
+        model, X, y, targets = fixed_case(rng, N, M, K, C)
+        aux = FixedConditionals(random_conditionals(rng, N, K, C), model.cond_t,
+                                rng.dirichlet(np.ones(K)))
+        row_bytes = ROW_BYTES[objective](M, K, C)
+        runs = []
+        for task_bytes in (1, 1 << 20):
+            for cpus in (1, 2):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(acquisition, "_JOINT_BYTES", 40 * row_bytes)
+                    mp.setattr(acquisition, "_TASK_BYTES", task_bytes)
+                    mp.setattr(runner, "_CPUS", cpus)
+                    assert len(acquisition._candidate_blocks(
+                        N, row_bytes, acquisition._JOINT_BYTES // 2)) == 12
+                    runs.append(rho_loss_scores(model, aux, X, y) if objective == "rho_loss"
+                                else kernel(objective, model, X, y, targets))
+        for scores in runs[1:]:
+            assert np.array_equal(scores, runs[0], equal_nan=True)
+            assert scores.strides == runs[0].strides
 
     @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic"])
     def test_score_pool_memory_does_not_grow_with_the_pool(self, objective):
@@ -1138,11 +1166,19 @@ class TestCandidateBlocks:
 
 
 def epig_case(mp, seed=0, N=20, one_block=False):
-    """EPIG over one candidate block of tasks of two rows (or one task), with
-    a check of its scores against the old kernel."""
-    mp.setattr(acquisition, "_TASK_BYTES", 1 << 40 if one_block else 1)
+    """EPIG over four candidate blocks of five rows, each cut into tasks of
+    two and three rows (or over one block of one task), with a check of its
+    scores against the old kernel run on the same blocks."""
+    row_bytes = ROW_BYTES["epig"](7, 5, 3)
+    if one_block:
+        mp.setattr(acquisition, "_TASK_BYTES", 1 << 40)
+        blocks = [slice(0, N)]
+    else:
+        mp.setattr(acquisition, "_TASK_BYTES", 1)
+        mp.setattr(acquisition, "_JOINT_BYTES", 10 * row_bytes)  # half holds five rows
+        blocks = [slice(i, i + 5) for i in range(0, N, 5)]
     model, X, _, targets = fixed_case(np.random.default_rng(seed), N, 7, 5, 3)
-    want = old_epig_scores(model, X, targets)
+    want = np.concatenate([old_epig_scores(model, X[rows], targets) for rows in blocks])
     return (lambda: epig_scores(model, X, targets),
             lambda got: assert_same_array(got, want))
 
@@ -1164,8 +1200,9 @@ CASES = {"epig": (acquisition, epig_case), "forest": (forest, forest_case)}
 
 
 class TestBlockRunner:
-    """``runner.share`` through both of its users: the tasks of the
-    acquisition kernels' candidate blocks and the tree blocks of the forest."""
+    """``runner.share`` through both of its users: the acquisition kernels'
+    candidate blocks, each of which runs its own tasks, and the tree blocks
+    of the forest."""
 
     @pytest.mark.parametrize("user", CASES)
     @pytest.mark.parametrize("where", ["caller", "helper"])
@@ -1314,6 +1351,36 @@ class TestBlockRunner:
             return i
 
         assert runner.share([partial(task, i) for i in range(6)]) == list(range(6))
+
+    def test_nested_call_runs_inline_and_queues_nothing(self, monkeypatch):
+        """Each thread's outer task makes a nested call whose tasks hold an
+        array. The nested tasks run on the thread that made the call, and
+        once both nested calls have returned, while both threads still hold
+        an outer task, no call queued for the helper keeps an array alive;
+        nor does anything once the outer call returns."""
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        both_ran, both_nested = threading.Barrier(2, timeout=30), threading.Barrier(2, timeout=30)
+        refs = []
+
+        def inner(data):
+            return threading.current_thread(), float(data.sum())
+
+        def outer(i):
+            both_ran.wait()
+            data = np.full(1000, float(i))
+            ran = runner.share([partial(inner, data)] * 3)
+            refs.append(weakref.ref(data))
+            del data
+            both_nested.wait()
+            return threading.current_thread(), ran, [r() is None for r in refs]
+
+        results = runner.share([partial(outer, i) for i in range(2)])
+        assert len({me for me, _, _ in results}) == 2
+        assert threading.current_thread() in {me for me, _, _ in results}
+        for i, (me, ran, dead) in enumerate(results):
+            assert ran == [(me, 1000.0 * i)] * 3
+            assert dead == [True, True]
+        assert all(r() is None for r in refs)
 
 
 # --- CSV readers -------------------------------------------------------------
