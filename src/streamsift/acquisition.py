@@ -18,14 +18,14 @@ block computes its candidates' conditionals and what the objective builds
 from them (EPIG's (M, C, C) joint, LA-EPIG's (M, C) updated predictives,
 MIC's and RHO-LOSS's label masses), reduced in tasks of about
 ``_TASK_BYTES``. A pool within ``_JOINT_BYTES`` (21 MiB, so that the
-criterion-07 EPIG pool fits) is one block, one expression over all its
-candidates, whose tasks :func:`runner.share` hands to the calling and the
-helper thread. A larger pool is cut into blocks within half that budget,
-and :func:`runner.share` hands out whole blocks, so both threads compute
-conditionals, joints and reductions, with two blocks in flight. Those
-blocks can move the last bits of a BLAS product, whose summation order
-follows the block's shape; the cut does not depend on the CPU count, so the
-bits do not either.
+criterion-07 EPIG pool fits) is one block, a larger one even blocks within
+half that budget, and one :func:`runner.share` call runs the blocks. One
+block runs on the calling thread, one expression over all its candidates,
+and shares its reduction tasks with the helper thread; of several blocks,
+each thread takes whole blocks (conditionals, joint and reduction), with two
+blocks in flight. A block's shape can move the last bits of a BLAS product,
+whose summation order follows it; the cut does not depend on the CPU count,
+so the bits do not either.
 
 MIC needs only the observed label's mass after the update. Sample-based
 models give it as E_w[lik^2] / E_w[lik], not as the updated weights times
@@ -105,12 +105,12 @@ def _blockwise(n, row_bytes, build, reduce):
     only its own scores: the bits do not depend on the task size or the
     thread.
 
-    A pool within ``_JOINT_BYTES`` is one block, built by the caller, whose
-    tasks :func:`runner.share` runs. A larger pool is cut into the fewest
-    even blocks within half the budget, whatever the CPU count, and
-    :func:`runner.share` runs whole blocks: the thread that takes a block
-    builds it and runs its tasks itself (a nested call), so the two blocks
-    in flight stay within the budget."""
+    A pool within ``_JOINT_BYTES`` is one block; a larger one is cut into the
+    fewest even blocks within half the budget, whatever the CPU count. One
+    :func:`runner.share` call runs the blocks. It runs a lone block on the
+    caller, so the block's tasks are shared with the helper; of several
+    blocks, the thread that takes one builds it and runs its tasks itself (a
+    nested call), so the two blocks in flight stay within the budget."""
     scores = np.empty(n)
 
     def task(dest, block, part):
@@ -123,11 +123,9 @@ def _blockwise(n, row_bytes, build, reduce):
         share([partial(task, scores[rows], block, part) for part in parts])
 
     blocks = _candidate_blocks(n, row_bytes, _JOINT_BYTES)
-    if len(blocks) == 1:
-        run_block(blocks[0])
-    else:
-        share([partial(run_block, rows)
-               for rows in _candidate_blocks(n, row_bytes, _JOINT_BYTES // 2)])
+    if len(blocks) > 1:
+        blocks = _candidate_blocks(n, row_bytes, _JOINT_BYTES // 2)
+    share([partial(run_block, rows) for rows in blocks])
     return scores
 
 

@@ -8,8 +8,9 @@ step's batch into the store one at a time, refitting the model before each
 decision; after each step the driver refits on the full store and records
 test accuracy. Seeds run in turn; a seed that raises any ``Exception``
 (a ``StreamsiftError``, but also an ``IndexError`` or ``MemoryError``) is
-recorded as failed with ``"<Type>: <message>"``, excluded from aggregates,
-and never aborts the batch. A ``ConfigError`` that shows only once a seed's
+recorded as failed with ``"<Type>: <message>"``, keeps the accuracies,
+selections and store track it recorded, is excluded from aggregates, and
+never aborts the batch. A ``ConfigError`` that shows only once a seed's
 data exist (a split stream without 2*T classes, ``targets.M`` above the
 target pool, a quota above a batch, a model field the model rejects, inputs
 of another width) is the configuration's fault, not the seed's; so is a
@@ -334,7 +335,10 @@ def _timed(timing, phase):
     timing[phase] += time.perf_counter() - t0
 
 
-def _run_seed(config, run_seed, examples, fixed_targets, timing):
+def _run_seed(config, run, examples, fixed_targets, timing):
+    """Run one seed, recording into the ``SeedRun`` ``run`` as it goes, so a
+    seed that raises keeps what it recorded."""
+    run_seed = run.seed
     objective = config.objective["name"]
     eta = config.objective["eta"]
     refit_every = config.training["refit_every"]
@@ -360,8 +364,6 @@ def _run_seed(config, run_seed, examples, fixed_targets, timing):
                                 derive_seed(run_seed, _TAG_AUX), labelled, inputs)
         with _timed(timing, "fitting"):
             aux_model.fit(data["holdout"])
-
-    run = SeedRun(seed=run_seed)
 
     def select(batch, quota, t, store):
         """Greedy per-slot selection: score the remaining candidates with the
@@ -429,7 +431,6 @@ def _run_seed(config, run_seed, examples, fixed_targets, timing):
         })
 
     run.ledger = ledger.as_dict()
-    return run
 
 
 def run_experiment(config):
@@ -447,17 +448,16 @@ def run_experiment(config):
     wall = time.perf_counter()
     with _timed(timing, "data_prep"):
         examples, fixed_targets = load_examples(config), load_fixed_targets(config)
-    per_seed = []
-    for seed in config.seeds:
+    per_seed = [SeedRun(seed=seed) for seed in config.seeds]
+    for run in per_seed:
         try:
-            per_seed.append(_run_seed(config, seed, examples, fixed_targets, timing))
+            _run_seed(config, run, examples, fixed_targets, timing)
         except (ConfigError, DataFormatError):
             raise
         except Exception as exc:  # any other fault fails this seed only
             if not isinstance(exc, StreamsiftError):  # a bug: keep its traceback
-                _log.error("seed %s failed", seed, exc_info=True)
-            per_seed.append(SeedRun(seed=seed, status="failed",
-                                    error=f"{type(exc).__name__}: {exc}"))
+                _log.error("seed %s failed", run.seed, exc_info=True)
+            run.status, run.error = "failed", f"{type(exc).__name__}: {exc}"
     timing["total"] = time.perf_counter() - wall
 
     ok = [r for r in per_seed if r.status == "ok"]

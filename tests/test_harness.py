@@ -147,6 +147,40 @@ class TestRunExperiment:
         assert result.summary["seeds_failed"] == [1]
         assert result.per_seed[1].error == f"{error.__name__}: fault in seed 1"
 
+    def test_failed_seed_keeps_what_it_recorded(self, monkeypatch, tmp_path):
+        """Seed 1's first fit on a step-1 pick fails: the seed keeps step 0's
+        accuracy and store track and the selections made so far, each equal
+        to a clean run's, and the summary and results.csv still leave it
+        out."""
+        clean = run_experiment(blob_config(seeds=[1])).per_seed[0]
+        bad_seed = derive_seed(1, harness._TAG_MODEL)
+
+        class FaultyForest(BootstrapForest):
+            def __init__(self, *args, seed, **kwargs):
+                super().__init__(*args, seed=seed, **kwargs)
+                self.faulty = seed == bad_seed
+
+            def fit(self, examples):
+                if self.faulty and len(examples) > 4:  # step 0 stores four
+                    raise RuntimeError("fault at step 1")
+                return super().fit(examples)
+
+        monkeypatch.setattr(harness, "BootstrapForest", FaultyForest)
+        result = run_experiment(blob_config(seeds=[0, 1]))
+        run = result.per_seed[1]
+        assert (run.status, run.error) == ("failed", "RuntimeError: fault at step 1")
+        assert run.accuracies == clean.accuracies[:1]
+        assert run.store_track == clean.store_track[:1]
+        # step 1's slot 0 scores on the model fitted on step 0's store
+        assert run.selections == clean.selections[:5]
+        assert result.summary["seeds_ok"] == [0]
+        assert result.summary["per_step_mean_accuracy"] == result.per_seed[0].accuracies
+        paths = write_results(result, tmp_path)
+        rows = paths["csv"].read_text().splitlines()[1:]
+        assert rows and all(row.startswith("0,") for row in rows)
+        saved = json.loads(paths["json"].read_text())["per_seed"][1]
+        assert saved["accuracies"] == run.accuracies
+
     def test_mic_and_rho_loss_run(self):
         mic_result = run_experiment(blob_config(objective={"name": "mic"}, seeds=[0]))
         assert mic_result.per_seed[0].status == "ok"

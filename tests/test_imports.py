@@ -37,8 +37,8 @@ def test_import_loads_no_scipy():
 
 
 def test_import_starts_no_thread():
-    """The mutual information's helper thread is started by its first call
-    that needs one, not by the import, which loads no thread pool or queue."""
+    """A helper thread is started by each ``runner.share`` call that shares
+    its tasks, not by the import, which loads no queue or thread pool."""
     run_fresh("import sys, threading, streamsift, streamsift.cli\n"
               "assert threading.active_count() == 1, threading.enumerate()\n"
               "loaded = [m for m in ('queue', 'concurrent.futures') if m in sys.modules]\n"

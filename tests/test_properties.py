@@ -2,11 +2,13 @@
 the CSV readers on drawn matrices."""
 
 import os
+import subprocess
 import sys
 import threading
+import time
 import weakref
-from concurrent import futures
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1197,6 +1199,20 @@ def forest_case(mp, seed=0, K=6, one_block=False):
 
 
 CASES = {"epig": (acquisition, epig_case), "forest": (forest, forest_case)}
+HELPER = "streamsift-helper"  # the name of the thread a shared call starts
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started during the test."""
+    names, start = [], threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names
 
 
 class TestBlockRunner:
@@ -1236,42 +1252,42 @@ class TestBlockRunner:
     @pytest.mark.parametrize("user", CASES)
     @pytest.mark.parametrize("cpus, one_block", [(1, False), (2, True)])
     def test_one_cpu_or_one_block_starts_no_helper(self, user, cpus, one_block,
-                                                   monkeypatch):
+                                                   monkeypatch, started):
         monkeypatch.setattr(runner, "_CPUS", cpus)
-        monkeypatch.setattr(runner, "_helper_pool", lambda: pytest.fail("helper started"))
         call, check = CASES[user][1](monkeypatch, one_block=one_block)
         check(call())
+        assert HELPER not in started
 
     @pytest.mark.parametrize("user", CASES)
-    def test_busy_helper_is_not_waited_for(self, user, monkeypatch):
-        """With the helper held by other work, the call runs every block
-        itself and returns without waiting for that work."""
+    def test_busy_helper_is_not_waited_for(self, user, monkeypatch, started):
+        """While a call on another thread owns the helper, the call runs
+        every block itself and returns while that call still owns it."""
         monkeypatch.setattr(runner, "_CPUS", 2)
         call, check = CASES[user][1](monkeypatch)
-        release = threading.Event()
-        busy = runner._helper_pool().submit(release.wait, 30)
+        owned, release = threading.Event(), threading.Event()
+
+        def own():
+            with runner._owner:
+                owned.set()
+                release.wait(30)
+
+        owner = threading.Thread(target=own)
+        owner.start()
         try:
+            assert owned.wait(30)
             check(call())
-            assert not busy.done()
+            assert owner.is_alive()
         finally:
             release.set()
-        assert busy.result() is True
+            owner.join(30)
+        assert HELPER not in started
 
     @pytest.mark.parametrize("user", CASES)
     def test_concurrent_callers(self, user, monkeypatch):
         """Four callers on two CPUs with a short switch interval, all racing
-        to build the pool: one pool is built, and every block of every call
-        is run once, so each result is the reference."""
+        for the helper: every block of every call is run once, so each
+        result is the reference."""
         monkeypatch.setattr(runner, "_CPUS", 2)
-        monkeypatch.setattr(runner, "_pool", None)
-        built = []
-
-        class CountingPool(futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
         cases = [CASES[user][1](monkeypatch, seed=seed) for seed in range(4)]
         got = [[] for _ in cases]
 
@@ -1289,54 +1305,102 @@ class TestBlockRunner:
                 t.join(60)
         finally:
             sys.setswitchinterval(interval)
-            for pool in built:
-                pool.shutdown()
         assert not any(t.is_alive() for t in threads)
-        assert len(built) == 1
         for results, (_, check) in zip(got, cases):
             assert len(results) == 5
             for result in results:
                 check(result)
 
-    @pytest.mark.parametrize("user", CASES)
-    def test_new_pool_when_the_pid_changes(self, user, monkeypatch):
-        """A forked child inherits the pool object but not its thread, so a
-        pool recorded under another pid is replaced."""
-        monkeypatch.setattr(runner, "_CPUS", 2)
-        call, check = CASES[user][1](monkeypatch)
-        check(call())
-        inherited = runner._helper_pool()
-        monkeypatch.setattr(runner, "_pool", inherited)  # restored afterwards
-        monkeypatch.setattr(runner, "_pool_pid", -1)
-        result = call()
-        rebuilt = runner._pool
-        try:
-            assert rebuilt is not inherited
-            assert runner._pool_pid == os.getpid()
-            check(result)
-        finally:
-            rebuilt.shutdown()
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+    def test_forked_child_shares_on_two_threads(self):
+        """A child forked while a call owns the helper starts with a free
+        owner, so its own call runs its tasks on two threads. The fork runs
+        in a new interpreter with one BLAS thread, so that no other thread
+        is alive when it forks."""
+        code = (
+            "import os, sys, threading\n"
+            "from streamsift import runner\n"
+            "runner._CPUS = 2\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "both = threading.Barrier(2, timeout=30)\n"
+            "def task():\n"
+            "    both.wait()\n"
+            "    return threading.current_thread()\n"
+            "with runner._owner:\n"
+            "    pid = os.fork()\n"
+            "    if pid == 0:\n"
+            "        status = 1\n"
+            "        try:\n"
+            "            status = 0 if len(set(runner.share([task] * 2))) == 2 else 2\n"
+            "        finally:\n"
+            "            os._exit(status)\n"
+            "    _, status = os.waitpid(pid, 0)\n"
+            "sys.exit(os.waitstatus_to_exitcode(status))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(runner.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
-    def test_failure_stops_the_other_thread(self, monkeypatch):
-        """The helper's first task fails while the caller's first task runs;
-        the caller's task returns only once the helper has stopped (a probe
-        behind it on the one-thread pool has run), and then finds no task
-        left, so of ten tasks two run."""
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_failure_stops_the_other_thread(self, where, monkeypatch):
+        """One thread's first task fails while the other's first task still
+        runs: ``share`` raises that failure only once the helper has
+        stopped, and the other thread takes no further task, so of ten tasks
+        two run."""
         monkeypatch.setattr(runner, "_CPUS", 2)
         caller = threading.current_thread()
-        both_ran, ran = threading.Barrier(2, timeout=30), []
+        both_ran, failed, ran = threading.Barrier(2, timeout=30), threading.Event(), []
 
         def task():
-            ran.append(threading.current_thread())
+            me = threading.current_thread()
+            ran.append(me)
             if len(ran) <= 2:
                 both_ran.wait()
-                if threading.current_thread() is not caller:
-                    raise RuntimeError("block failed in the helper")
-                runner._helper_pool().submit(int).result(timeout=30)
+                if (me is caller) == (where == "caller"):
+                    failed.set()
+                    raise RuntimeError(f"block failed in the {where}")
+                failed.wait(30)
+                time.sleep(0.1)  # still running when the failure is raised
 
-        with pytest.raises(RuntimeError, match="block failed in the helper"):
+        with pytest.raises(RuntimeError, match=f"block failed in the {where}"):
             runner.share([task] * 10)
         assert len(ran) == 2
+        helper = next(t for t in ran if t is not caller)
+        assert not helper.is_alive()
+
+    @pytest.mark.parametrize("fails", [(), ("caller", "helper"), ("helper", "caller")],
+                             ids=["none", "caller-first", "helper-first"])
+    def test_no_helper_outlives_a_call(self, fails, monkeypatch, started):
+        """The call starts one helper thread, which is no longer alive once
+        ``share`` returns or, when the tasks on both threads fail, raises the
+        first failure. (``test_failure_stops_the_other_thread`` has one
+        thread fail.)"""
+        monkeypatch.setattr(runner, "_CPUS", 2)
+        caller = threading.current_thread()
+        both_ran, first_raised, ran = threading.Barrier(2, timeout=30), threading.Event(), []
+
+        def task(i):
+            me = threading.current_thread()
+            ran.append(me)
+            both_ran.wait()
+            where = "caller" if me is caller else "helper"
+            if where in fails:
+                if where == fails[1]:  # waits until the first failure has been raised
+                    first_raised.wait(30)
+                    time.sleep(0.1)
+                first_raised.set()
+                raise RuntimeError(f"block failed in the {where}")
+            return i
+
+        if fails:
+            with pytest.raises(RuntimeError, match=f"block failed in the {fails[0]}"):
+                runner.share([partial(task, i) for i in range(2)])
+        else:
+            assert runner.share([partial(task, i) for i in range(2)]) == [0, 1]
+        assert len(set(ran)) == 2 and started == [HELPER]
+        assert not [t for t in threading.enumerate() if t.name == HELPER]
 
     def test_results_in_task_order(self, monkeypatch):
         """Tasks that finish out of order still return in task order."""
