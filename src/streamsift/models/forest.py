@@ -33,13 +33,14 @@ cell's counts or threshold. Every open node of a level owns one contiguous
 segment of the ``(d, R)`` order array that lists its rows in ascending order
 of each feature; a stable boolean mask moves the rows of each split into its
 left, then its right child's segment, so no node sorts again. A level's
-search covers every node at once. It marks the level's cells first, then
-takes the features in chunks of about ``_CHUNK_CELLS`` cells (at least one
-feature each): one weighted ``bincount`` counts the classes in each piece
-between consecutive boundaries (each (feature, node) segment start and each
-cell), and a running sum of the pieces, restarted at each segment start,
-gives the counts left of every cell. Finally each tree's nodes are numbered
-in preorder (node, left subtree, right subtree).
+search covers every node at once. Each row's multiplicity sits in its
+class's bit field of uint64 words, a field as wide as the bit length of the
+level's largest node weight, so no sum of a node's rows carries between
+fields. The features go in chunks of about ``_CHUNK_CELLS`` cells (at least
+one feature each), with one running sum per word over a chunk's rows: a
+cell's left counts are its difference at the cell and at its (feature, node)
+segment start, exact modulo 2**64 however often the sum wraps. Finally each
+tree's nodes are numbered in preorder (node, left subtree, right subtree).
 
 Screen: each cell with left and right counts l and r first gets
 ``G = sum(l**2) / nl + sum(r**2) / nr``, which equals ``n * (1 - score)`` in
@@ -78,7 +79,7 @@ from .base import Model, as_inputs, dataset_arrays
 # sort orders
 _BLOCK_CELLS = 1 << 18
 # cells (value changes) of a level searched at once, and the most cells kept
-# for the level's Gini; bounds the (cells, C) class counts
+# for the level's Gini; bounds the (cells, C) left counts unpacked per chunk
 _CHUNK_CELLS = 1 << 13
 # a cell whose G lies more than _SCREEN * n below its node's largest cannot
 # tie the node's lowest Gini score (see the module docstring)
@@ -120,39 +121,31 @@ def _first_lowest(kept, top, total, weight):
     return fi[win], col[win], node[win], left[win], G[win]
 
 
-def _screen_chunk(change, order, f0, f1, y, w, start, node_of, total, weight,
-                  min_leaf, top):
+def _screen_chunk(change, order, f0, f1, packed, word, shift, mask, start, node_of,
+                  total, weight, min_leaf, top):
     """(feature, column, node, left counts, G) of the cells of features
     ``f0:f1`` that pass the screen, in feature order, with ``top`` raised to
-    each node's largest G; ``change`` marks the level's cells."""
-    C = total.shape[1]
+    each node's largest G; ``change`` marks the level's cells, and ``packed``
+    holds class c's counts in the ``mask`` bits from ``shift[c]`` of ``word[c]``."""
     R = order.shape[1]
     fi, col = np.nonzero(change[f0:f1])
     col += 1
     node = node_of[col]
-    o = order[f0:f1]
-    # cells are feature-major; a (feature, node) group's pieces start at its
-    # segment start and at each of its cells
+    o = order[f0:f1].ravel()
+    # cells are feature-major; each running sum is 0 before the chunk's first entry
     cell = fi * R + col
     seg = fi * R + start[node]
-    bound = np.zeros(o.size, dtype=bool)
-    bound[cell] = True
-    bound[seg] = True
-    piece = np.cumsum(bound)  # 1 + the boundaries before each entry
-    del bound
-    size = (int(piece[-1]) + 1) * C
-    at_cell, at_seg = piece[cell] - 1, piece[seg] - 1
-    piece *= C
-    piece += y[o].ravel()
-    counts = np.bincount(piece, weights=w[o].ravel(), minlength=size).reshape(-1, C)
-    del piece
-    upto = np.cumsum(counts, axis=0, out=counts)  # before each boundary
-    left = np.take(upto, at_cell, axis=0)  # (V, C)
-    left -= np.take(upto, at_seg, axis=0)
-    del counts, upto
+    run = np.zeros(o.size + 1, dtype=np.uint64)
+    diff = np.empty((len(packed), fi.size), dtype=np.uint64)
+    for k in range(len(packed)):
+        packed[k].take(o, out=run[1:])
+        np.cumsum(run, out=run)
+        np.subtract(run[cell], run[seg], out=diff[k])
+    del run
+    left = ((diff[word] >> shift[:, None]) & mask).T.astype(float, order="C")  # (V, C)
     right = np.take(total, node, axis=0)
     right -= left
-    nl = left.sum(axis=1)
+    nl = left @ np.ones(len(word))  # integer-valued floats: exact in any order
     n = weight[node]
     # G = n (1 - score) in exact arithmetic, from exact sums of squares
     G = (np.einsum("ij,ij->i", left, left) / nl
@@ -171,7 +164,7 @@ def _best_splits(xt, y, w, order, start, node_of, can_split, total, weight,
     ``start``, ``node_of`` is the node of each column, ``w`` each row's
     multiplicity, and ``total`` and ``weight`` the nodes' weighted (J, C)
     class counts and sizes."""
-    J = total.shape[0]
+    J, C = total.shape
     d = order.shape[0]
     feat = np.full(J, -1)
     column = np.zeros(J, dtype=np.intp)
@@ -186,6 +179,13 @@ def _best_splits(xt, y, w, order, start, node_of, can_split, total, weight,
     del xs
     change &= ok[1:]
     ends = np.cumsum(np.count_nonzero(change, axis=1))  # cells up to each feature's end
+    # a row's multiplicity goes to its class c's field, from bit shift[c] of word[c]
+    bits = int(weight.max()).bit_length()
+    word, field = np.divmod(np.arange(C), 64 // bits)
+    shift = (field * bits).astype(np.uint64)
+    packed = np.zeros((word[-1] + 1, y.size), dtype=np.uint64)
+    packed[word[y], np.arange(y.size)] = w.astype(np.uint64) << shift[y]
+    mask = np.uint64((1 << bits) - 1)
     top = np.full(J, -np.inf)  # the largest G of each node so far
     kept, num_kept = [], 0  # the cells that passed the screen, in feature order
     f0 = 0
@@ -194,8 +194,8 @@ def _best_splits(xt, y, w, order, start, node_of, can_split, total, weight,
         done = ends[f0 - 1] if f0 else 0
         f1 = max(f0 + 1, int(np.searchsorted(ends, done + _CHUNK_CELLS, "right")))
         if ends[f1 - 1] > done:
-            kept.append(_screen_chunk(change, order, f0, f1, y, w, start, node_of,
-                                      total, weight, min_leaf, top))
+            kept.append(_screen_chunk(change, order, f0, f1, packed, word, shift, mask,
+                                      start, node_of, total, weight, min_leaf, top))
             num_kept += kept[-1][0].size
         if num_kept > _CHUNK_CELLS:  # all but each node's first lowest cell go
             kept = [_first_lowest(kept, top, total, weight)]

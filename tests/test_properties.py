@@ -746,6 +746,101 @@ class TestForestSplitSearch:
             assert_same_tree(X, y, C, 4, 1)
         assert split_ties > 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.sampled_from([-1, 0, 1]),
+           st.integers(2, 64), st.integers(64, 72), st.integers(1, 2), st.integers(0, 4),
+           st.integers(1, 4), st.booleans())
+    def test_packed_counts_at_field_limits(self, seed, k, step, C, d, min_leaf, max_depth,
+                                           K, lopsided):
+        """Bootstraps of m = 2**k - 1, 2**k or 2**k + 1 draws from at most 3
+        distinct rows: a node's field width steps up at a weight of 2**k, and
+        a lopsided draw gives one row all but one or two of the m. Up to 64
+        classes pack into many words, the last one part full. All K trees
+        are one block and all features one chunk of at least 64, so each
+        word's running sum passes over every row of every feature and wraps."""
+        m = 2**k + step
+        C = min(C, max(2, 2**17 // m))  # keeps the oracle's (features, m, C) counts small
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        X, _ = awkward_data(rng, n, d, C)
+        y = rng.integers(0, C, size=n)
+        boots = []
+        for _ in range(K):
+            r = min(n, m, int(rng.integers(1, 4)))
+            if lopsided:
+                counts = np.array([m - r + 1] + [1] * (r - 1))
+            else:
+                cuts = np.sort(rng.choice(np.arange(1, m), size=r - 1, replace=False))
+                counts = np.diff(np.concatenate(([0], cuts, [m])))
+            boots.append(rng.permutation(np.repeat(rng.choice(n, size=r, replace=False),
+                                                   counts)))
+        boots = np.stack(boots)
+        olds = [PresortTree(C, max_depth, min_leaf, 0.5).fit(X[idx], y[idx]) for idx in boots]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_BLOCK_CELLS", 1 << 40)
+            mp.setattr(forest, "_CHUNK_CELLS", 1 << 40)
+            nodes, roots = forest._grow_trees(X, y, boots, C, max_depth, min_leaf, 0.5)
+        assert_same_trees(nodes, roots, olds)
+
+    @pytest.mark.parametrize("heavy", [0, 1, 2, 3])
+    def test_class_count_at_the_top_of_its_field(self, heavy):
+        """One node of weight 2**16 - 1: 16-bit fields, four to a word. Class
+        ``heavy`` holds 2**16 - 2 rows left of feature 1's second cell, every
+        bit of its field but the lowest (a cell leaves at least one row on
+        the right), and that cell is the only pure split. Feature 0's rows
+        come first in the chunk, so feature 1's first row carries the running
+        sum out of the field of class ``heavy``, and out of the word for
+        class 3."""
+        light = (heavy + 1) % 4
+        y = np.array([heavy, heavy, light])
+        w = np.array([2.0**16 - 3, 1.0, 1.0])
+        xt = np.array([[0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        order = np.argsort(xt, axis=1, kind="stable")
+        total = np.bincount(y, weights=w, minlength=4)[None, :]
+        feat, column = forest._best_splits(
+            xt, y, w, order, np.zeros(1, dtype=np.intp), np.zeros(3, dtype=np.intp),
+            np.ones(1, dtype=bool), total, total.sum(axis=1), 1)
+        assert (feat.tolist(), column.tolist()) == ([1], [2])
+
+    @pytest.mark.parametrize("C", [2, 10, 64])
+    def test_packed_words_and_running_sums_stay_uint64(self, C):
+        """A uint64 array combined with an int64 one promotes to float64, where
+        a shift raises and a large count loses bits: the packed words, shifts
+        and mask reach each chunk as uint64, and every running sum a chunk
+        takes is uint64."""
+        rng = np.random.default_rng(C)
+        X, y = rng.normal(size=(90, 4)), np.arange(90) % C
+        boots = rng.integers(0, 90, size=(3, 400))  # multiplicities up to a few
+        seen, sums = [], []
+        screen = forest._screen_chunk
+
+        def spy(change, order, f0, f1, packed, word, shift, mask, *rest):
+            seen.append((packed.dtype, shift.dtype, type(mask), len(packed), len(word)))
+            return screen(change, order, f0, f1, packed, word, shift, mask, *rest)
+
+        class Numpy:  # numpy, noting the dtype of each running sum of a chunk
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def cumsum(*args, **kwargs):
+                out = np.cumsum(*args, **kwargs)
+                if sys._getframe(1).f_code.co_name == "_screen_chunk":
+                    sums.append(out.dtype)
+                return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "_screen_chunk", spy)
+            mp.setattr(forest, "np", Numpy())
+            forest._grow_trees(X, y, boots, C, 4, 1, 0.5)
+        assert seen and sums
+        for packed, shift, mask, _, classes in seen:
+            assert packed == np.uint64 and shift == np.uint64 and mask is np.uint64
+            assert classes == C
+        assert all(dtype == np.uint64 for dtype in sums)
+        # the root weighs 400: 9-bit fields, seven to a word
+        assert seen[0][3] == -(-C // 7)
+
 
 class TestForestPrediction:
     @settings(max_examples=100, deadline=None)
