@@ -19,8 +19,8 @@ from them (EPIG's (M, C, C) joint, LA-EPIG's (M, C) updated predictives,
 MIC's and RHO-LOSS's label masses), reduced in tasks of about
 ``_TASK_BYTES``. A pool within ``_JOINT_BYTES`` (21 MiB, so that the
 criterion-07 EPIG pool fits) is one block, a larger one even blocks within
-half that budget, and one :func:`runner.share` call runs the blocks. One
-block runs on the calling thread, one expression over all its candidates,
+``_BLOCK_BYTES`` (2 MiB), and one :func:`runner.share` call runs the blocks.
+One block runs on the calling thread, one expression over all its candidates,
 and shares its reduction tasks with the helper thread; of several blocks,
 each thread takes whole blocks (conditionals, joint and reduction), with two
 blocks in flight. A block's shape can move the last bits of a BLAS product,
@@ -53,9 +53,18 @@ TARGET_OBJECTIVES = ("epig", "la_epig")  # the objectives that score against tar
 # whole MiB that hold the criterion-07 EPIG pool (200 candidates of
 # 107,520 B) in one block, whose bits ``test_one_block_is_bit_identical`` and
 # the benchmark's seed-0 ``harness_epig`` picks pin; a larger pool runs two
-# blocks of at most half of it at a time. The budget can go once candidates
-# within round-off of the best are ranked as ties.
+# blocks of at most ``_BLOCK_BYTES`` (or half the budget, if less) at a time.
+# The budget can go once candidates within round-off of the best are ranked
+# as ties.
 _JOINT_BYTES = 21 << 20
+
+# bytes of each block of a pool larger than ``_JOINT_BYTES``. On the 64x64
+# demo (benchmark seed 11, 2-vCPU Linux VM, one BLAS thread) blocks of 2 MiB
+# took the peak RSS from 81.7 MB (blocks of 10.5 MiB) to 67.5 MB, with the op
+# at 0.25 s against 0.28 s; 4 MiB blocks reached only 72.9 MB, and 1 MiB
+# blocks (64.7 MB) slowed the op to 0.35 s, since each block computes its own
+# conditionals and sets up its own einsum.
+_BLOCK_BYTES = 2 << 20
 
 # bytes of a block that one task of ``runner.share`` reduces
 _TASK_BYTES = 1 << 20
@@ -106,11 +115,12 @@ def _blockwise(n, row_bytes, build, reduce):
     thread.
 
     A pool within ``_JOINT_BYTES`` is one block; a larger one is cut into the
-    fewest even blocks within half the budget, whatever the CPU count. One
-    :func:`runner.share` call runs the blocks. It runs a lone block on the
-    caller, so the block's tasks are shared with the helper; of several
-    blocks, the thread that takes one builds it and runs its tasks itself (a
-    nested call), so the two blocks in flight stay within the budget."""
+    fewest even blocks within ``_BLOCK_BYTES`` (or half the budget, if less),
+    whatever the CPU count. One :func:`runner.share` call runs the blocks. It
+    runs a lone block on the caller, so the block's tasks are shared with the
+    helper; of several blocks, the thread that takes one builds it and runs
+    its tasks itself (a nested call), so the two blocks in flight hold at
+    most ``2 * _BLOCK_BYTES``."""
     scores = np.empty(n)
 
     def task(dest, block, part):
@@ -124,7 +134,7 @@ def _blockwise(n, row_bytes, build, reduce):
 
     blocks = _candidate_blocks(n, row_bytes, _JOINT_BYTES)
     if len(blocks) > 1:
-        blocks = _candidate_blocks(n, row_bytes, _JOINT_BYTES // 2)
+        blocks = _candidate_blocks(n, row_bytes, min(_JOINT_BYTES // 2, _BLOCK_BYTES))
     share([partial(run_block, rows) for rows in blocks])
     return scores
 

@@ -8,9 +8,10 @@ step's batch into the store one at a time, refitting the model before each
 decision; after each step the driver refits on the full store and records
 test accuracy. Seeds run in turn; a seed that raises any ``Exception``
 (a ``StreamsiftError``, but also an ``IndexError`` or ``MemoryError``) is
-recorded as failed with ``"<Type>: <message>"``, keeps the accuracies,
-selections and store track it recorded, is excluded from aggregates, and
-never aborts the batch. A ``ConfigError`` that shows only once a seed's
+recorded as failed with ``"<Type>: <message>"`` and the step, slot and
+phase it failed in (``failed_at``), keeps the accuracies, selections and
+store track it recorded, is excluded from aggregates, and never aborts the
+batch. A ``ConfigError`` that shows only once a seed's
 data exist (a split stream without 2*T classes, ``targets.M`` above the
 target pool, a quota above a batch, a model field the model rejects, inputs
 of another width) is the configuration's fault, not the seed's; so is a
@@ -82,6 +83,7 @@ class SeedRun:
     seed: int
     status: str = "ok"
     error: str = ""
+    failed_at: dict = None  # a failed seed's {step, slot, phase}; left out of results when None
     accuracies: list = field(default_factory=list)
     store_track: list = field(default_factory=list)
     selections: list = field(default_factory=list)
@@ -99,7 +101,8 @@ class ExperimentResult:
         return {
             "config": self.config,
             "objective": self.config["objective"]["name"],
-            "per_seed": [vars(run).copy() for run in self.per_seed],
+            "per_seed": [{k: v for k, v in vars(run).items()
+                          if not (k == "failed_at" and v is None)} for run in self.per_seed],
             "summary": self.summary,
             "timing": self.timing,
         }
@@ -335,9 +338,11 @@ def _timed(timing, phase):
     timing[phase] += time.perf_counter() - t0
 
 
-def _run_seed(config, run, examples, fixed_targets, timing):
+def _run_seed(config, run, examples, fixed_targets, timing, at):
     """Run one seed, recording into the ``SeedRun`` ``run`` as it goes, so a
-    seed that raises keeps what it recorded."""
+    seed that raises keeps what it recorded. The dict ``at`` holds the step,
+    slot and phase the seed is in: ``prepare`` before its first step, then
+    ``fit``, ``score`` or ``evaluate``; slot is None outside a selection."""
     run_seed = run.seed
     objective = config.objective["name"]
     eta = config.objective["eta"]
@@ -362,6 +367,7 @@ def _run_seed(config, run, examples, fixed_targets, timing):
             )
         aux_model = build_model(config.model, K, config.training,
                                 derive_seed(run_seed, _TAG_AUX), labelled, inputs)
+        at["phase"] = "fit"
         with _timed(timing, "fitting"):
             aux_model.fit(data["holdout"])
 
@@ -383,10 +389,12 @@ def _run_seed(config, run, examples, fixed_targets, timing):
             candidates = [batch[i] for i in remaining]
             diag = {}
             sel_seed = derive_seed(run_seed, _TAG_SELECT, t, slot)
+            at.update(step=t, slot=slot, phase="fit")
             if objective != "random" and (not fitted or since_fit >= refit_every):
                 with _timed(timing, "fitting"):
                     fitted = _try_fit(model, store.examples + [batch[i] for i in picked])
                 since_fit = 0
+            at["phase"] = "score"
             cold_start = objective != "random" and not fitted
             if fitted:
                 with _timed(timing, "scoring"):
@@ -416,8 +424,10 @@ def _run_seed(config, run, examples, fixed_targets, timing):
     steps = strategy_steps("D", data["schedule"], select, config.store["quota"],
                            ledger, tau=config.store["tau"])
     for t, store in enumerate(steps):
+        at.update(step=t, slot=None, phase="fit")
         with _timed(timing, "fitting"):
             model.fit(store.examples)
+        at["phase"] = "evaluate"
         with _timed(timing, "evaluation"):
             run.accuracies.append(evaluate_accuracy(model, data["eval_set"]))
 
@@ -450,14 +460,16 @@ def run_experiment(config):
         examples, fixed_targets = load_examples(config), load_fixed_targets(config)
     per_seed = [SeedRun(seed=seed) for seed in config.seeds]
     for run in per_seed:
+        at = {"step": None, "slot": None, "phase": "prepare"}
         try:
-            _run_seed(config, run, examples, fixed_targets, timing)
+            _run_seed(config, run, examples, fixed_targets, timing, at)
         except (ConfigError, DataFormatError):
             raise
         except Exception as exc:  # any other fault fails this seed only
             if not isinstance(exc, StreamsiftError):  # a bug: keep its traceback
                 _log.error("seed %s failed", run.seed, exc_info=True)
             run.status, run.error = "failed", f"{type(exc).__name__}: {exc}"
+            run.failed_at = at
     timing["total"] = time.perf_counter() - wall
 
     ok = [r for r in per_seed if r.status == "ok"]

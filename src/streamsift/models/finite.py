@@ -21,8 +21,9 @@ _LOOKUP_BLOCK = 256
 
 def _clip_round_off(p):
     """``p`` with the round-off check_probs admits below 0 set to 0 (``p``
-    itself if it has none), so fit's renormalised products stay >= 0."""
-    return np.maximum(p, 0.0) if np.any(p < 0.0) else p
+    itself if it has none), so fit's renormalised products stay >= 0. The
+    test is on the least entry, not on a mask as large as ``p``."""
+    return np.maximum(p, 0.0) if p.size and p.min() < 0.0 else p
 
 
 class FiniteHypothesisModel(Model):

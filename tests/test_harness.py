@@ -181,6 +181,55 @@ class TestRunExperiment:
         saved = json.loads(paths["json"].read_text())["per_seed"][1]
         assert saved["accuracies"] == run.accuracies
 
+    def test_failed_seed_records_where_it_failed(self, monkeypatch, tmp_path):
+        """Seed 1's fit fails at step 1, slot 5: a step of eight picks stores
+        eight, and that slot's fit adds five. Its record names the step, slot
+        and phase; the ok seed's record has no ``failed_at``."""
+        bad_seed = derive_seed(1, harness._TAG_MODEL)
+
+        class FaultyForest(BootstrapForest):
+            def __init__(self, *args, seed, **kwargs):
+                super().__init__(*args, seed=seed, **kwargs)
+                self.faulty = seed == bad_seed
+
+            def fit(self, examples):
+                if self.faulty and len(examples) == 8 + 5:
+                    raise RuntimeError("fault at step 1, slot 5")
+                return super().fit(examples)
+
+        monkeypatch.setattr(harness, "BootstrapForest", FaultyForest)
+        result = run_experiment(blob_config(store={"m": 16}, seeds=[0, 1]))
+        ok, run = result.per_seed
+        assert run.status == "failed"
+        assert run.failed_at == {"step": 1, "slot": 5, "phase": "fit"}
+        assert [(s["step"], s["slot"]) for s in run.selections][-1] == (1, 4)
+        assert ok.status == "ok" and ok.failed_at is None
+        saved = json.loads(write_results(result, tmp_path)["json"].read_text())["per_seed"]
+        assert "failed_at" not in saved[0]
+        assert saved[1]["failed_at"] == {"step": 1, "slot": 5, "phase": "fit"}
+
+    @pytest.mark.parametrize("site, failed_at", [
+        ("score_pool", {"step": 0, "slot": 2, "phase": "score"}),
+        ("evaluate_accuracy", {"step": 0, "slot": None, "phase": "evaluate"}),
+        ("prepare_data", {"step": None, "slot": None, "phase": "prepare"}),
+    ])
+    def test_failed_at_names_the_phase(self, monkeypatch, site, failed_at):
+        """The third ``score_pool`` call (step 0, slot 2), the first
+        evaluation (after step 0's selections) or the data preparation."""
+        calls = []
+        original = getattr(harness, site)
+
+        def faulty(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == (3 if site == "score_pool" else 1):
+                raise IndexError(f"fault in {site}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, site, faulty)
+        run = run_experiment(blob_config(seeds=[0])).per_seed[0]
+        assert (run.status, run.error) == ("failed", f"IndexError: fault in {site}")
+        assert run.failed_at == failed_at
+
     def test_mic_and_rho_loss_run(self):
         mic_result = run_experiment(blob_config(objective={"name": "mic"}, seeds=[0]))
         assert mic_result.per_seed[0].status == "ok"

@@ -39,7 +39,7 @@ from streamsift import (
 )
 from streamsift.acquisition import epig_scores, la_epig_scores, mic_scores, rho_loss_scores
 from streamsift.demo import cell_centers
-from streamsift.models import forest
+from streamsift.models import finite, forest
 from streamsift.models.base import Model, add_one_in
 from streamsift.models.finite import GRID_ATOL
 from streamsift.prob import SUM_ATOL, ZERO_EPS, entropy_of_array
@@ -153,6 +153,31 @@ def old_epig_scores(model, X, targets):
     # return a joint whose candidate axis is the fastest (at K=2, say), and a
     # mean over that layout adds the targets in another order
     return np.ascontiguousarray(old_mutual_information_of_array(joint)).mean(axis=1)
+
+
+def old_float_array(value, name):
+    """The finiteness check over one mask as large as the array."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers ({exc})") from None
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{name} must be an array of finite numbers")
+    return out
+
+
+def old_check_probs(p, name, axis=None):
+    """The probability check over one mask and one sum of the whole array."""
+    if np.any(p < -SUM_ATOL):
+        raise ValidationError(f"negative {name} entry: min={p.min()}")
+    off = abs((p.sum() if axis is None else prob._sum(p, axis)) - 1.0)
+    if np.any(off > SUM_ATOL):
+        raise ValidationError(f"{name} must sum to 1, off by up to {off.max()}")
+
+
+def old_clip_round_off(p):
+    """Round-off below 0 set to 0, tested with a mask as large as ``p``."""
+    return np.maximum(p, 0.0) if np.any(p < 0.0) else p
 
 
 def _old_gini(counts):
@@ -467,6 +492,143 @@ class TestCheckProbs:
                 prob.check_probs(p, "x", axis=axis)
         else:
             prob.check_probs(p, "x", axis=axis)
+
+
+def outcome(check, *args, **kwargs):
+    """The message of the ValidationError that ``check`` raises, else None."""
+    try:
+        check(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# the bytes of a slice: runs of two, about 1 MiB, and the whole array
+SLICE_BUDGETS = (1, 1 << 20, 1 << 40)
+# where a drawn bad entry sits: nowhere, in the first slice or in the last
+# (the first and the last entry of an array lie in its first and last slice,
+# however it is cut)
+PLACES = (None, (0, 0, 0), (-1, -1, -1))
+
+
+@st.composite
+def prob_tables(draw):
+    """A 3-D array in C or Fortran order whose sums along a drawn axis are 1
+    up to noise of a drawn scale, and its axis. The leading axis may be
+    empty; an axis of eight or more entries is added by pairs when numpy's
+    reduction runs along it, and in order when it runs across it."""
+    lengths = st.sampled_from([1, 2, 3, 8, 9, 20])
+    shape = (draw(st.integers(0, 5)), draw(lengths), draw(lengths))
+    axis = draw(st.sampled_from([None, 0, 1, 2, (1, 2), -1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.uniform(0.1, 1.0, size=shape)
+    if p.size:
+        p /= p.sum(axis=axis, keepdims=axis is not None)
+    p += draw(st.sampled_from([0.0, 0.1, 1.0])) * SUM_ATOL * rng.uniform(-1.0, 1.0, size=shape)
+    return np.asarray(p, order=draw(st.sampled_from(["C", "F"]))), axis
+
+
+class TestSlicedChecks:
+    """``check_probs``, ``float_array`` and the finite model's round-off clip
+    hold one slice's sums, or nothing as large as the array: the same
+    decisions and messages as the whole-array checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prob_tables(), st.sampled_from(PLACES), st.sampled_from(PLACES),
+           st.sampled_from([0.5, 1.01, 3.0, 1e6]), st.sampled_from([-0.5, -1.01, -3.0, -1e6]))
+    def test_check_probs_matches_the_whole_array_check(self, table, off_at, neg_at,
+                                                       off, neg):
+        p, axis = table
+        p = p.copy(order="K")
+        if p.size and off_at is not None:
+            p[off_at] += off * SUM_ATOL
+        if p.size and neg_at is not None:
+            p[neg_at] = neg * SUM_ATOL
+        want = outcome(old_check_probs, p, "tables", axis=axis)
+        for budget in SLICE_BUDGETS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prob, "_SLICE_BYTES", budget)
+                assert outcome(prob.check_probs, p, "tables", axis=axis) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(prob_tables(), st.sampled_from(SLICE_BUDGETS[:2]))
+    def test_slice_sums_have_the_whole_sums_bits(self, table, budget):
+        """Each slice's sums, put back together along the cut axis, are the
+        whole array's sums bit for bit: runs of one entry would add some of
+        them by pairs instead of in order, or the reverse."""
+        p, axis = table
+        assume(axis is not None and p.size)
+        summed = {i % 3 for i in (axis if isinstance(axis, tuple) else (axis,))}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prob, "_SLICE_BYTES", budget)
+            parts = prob._slices(p, summed)
+        sums = [prob._sum(part, axis) for part in parts]
+        if len(parts) > 1:
+            cut = next(i for i in range(3) if parts[0].shape[i] != p.shape[i])
+            sums = [np.concatenate(sums, axis=cut - sum(i < cut for i in summed))]
+        assert np.array_equal(sums[0], prob._sum(p, axis))
+
+    def test_slices_cover_the_array_in_runs_of_two(self):
+        """Along the unsummed axis of the largest stride: axis 0 in C order,
+        axis 1 in Fortran order when axis 2 is summed."""
+        for order, cut in (("C", 0), ("F", 1)):
+            p = np.zeros((5, 7, 3), order=order)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prob, "_SLICE_BYTES", 1)
+                parts = prob._slices(p, {2})
+            assert [part.shape[cut] for part in parts] == ([2, 3] if cut == 0 else [2, 2, 3])
+            assert sum(part.size for part in parts) == p.size
+            assert all(np.shares_memory(part, p) for part in parts)
+        assert prob._slices(p, {0, 1, 2}) == [p]
+
+    @settings(max_examples=200, deadline=None)
+    @given(prob_tables(), st.sampled_from(PLACES), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_float_array_matches_the_whole_array_check(self, table, bad_at, bad):
+        p = table[0].copy(order="K")
+        if p.size and bad_at is not None:
+            p[bad_at] = bad
+        want = outcome(old_float_array, p, "tables")
+        for budget in SLICE_BUDGETS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prob, "_SLICE_BYTES", budget)
+                assert outcome(prob.float_array, p, "tables") == want
+                if want is None:
+                    assert prob.float_array(p, "tables") is p
+
+    @settings(max_examples=200, deadline=None)
+    @given(prob_tables(), st.sampled_from(PLACES), st.sampled_from([-0.0, -1e-300, -SUM_ATOL]))
+    def test_clip_round_off_matches_the_whole_array_clip(self, table, neg_at, neg):
+        p = table[0].copy(order="K")
+        if p.size and neg_at is not None:
+            p[neg_at] = neg
+        want = old_clip_round_off(p)
+        for budget in SLICE_BUDGETS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(prob, "_SLICE_BYTES", budget)
+                got = finite._clip_round_off(p)
+            assert (got is p) == (want is p)
+            assert_same_array(got, want)
+
+    def test_demo_tables_check_within_two_mib(self):
+        """The model's constructor at the demo's shape (256 hypotheses, a grid
+        of 4,120 rows, C=2: 16.1 MiB of tables) holds under 2 MiB beyond its
+        inputs. Whole-array masks and (J, G) sums took 9.0 MiB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        grid = rng.uniform(-5.0, 5.0, size=(4120, 2))
+        p1 = rng.uniform(size=(256, len(grid)))
+        tables = np.stack([1.0 - p1, p1], axis=2)
+        del p1
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model = FiniteHypothesisModel(grid, tables)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert model.tables is tables
+        assert peak < 2 * 2**20
 
 
 # --- LA-EPIG -----------------------------------------------------------------
@@ -1124,10 +1286,12 @@ class TestCandidateBlocks:
         is charged 33 MB for a model's conditionals. MIC and RHO-LOSS are
         one block at K=8, C=10, so they run only the demo's shape. Beyond the
         inputs, the conditionals and the (N,) result, a kernel holds the
-        arrays of at most two blocks, one per thread and each within half
-        the budget, plus a few MiB that do not grow with the pool: a task of
-        about 1 MiB on each of two threads, each with its copies and entropy
-        buffer."""
+        arrays of at most two blocks, one per thread and each within
+        ``_BLOCK_BYTES`` (2 MiB), plus a few MiB that do not grow with the
+        pool: a task of about 1 MiB on each of two threads, each with its
+        copies and entropy buffer. The traced peaks read 2.0 to 8.0 MiB
+        (EPIG at K=8, C=10 the most); blocks of half the budget took 10.6 to
+        24.0 MiB."""
         import tracemalloc
 
         shapes = [(256, 2)] if objective in ("mic", "rho_loss") else [(8, 10), (256, 2)]
@@ -1149,6 +1313,7 @@ class TestCandidateBlocks:
                 tracemalloc.stop()
             assert scores.shape == (8000,)
             assert peak - scores.nbytes < acquisition._JOINT_BYTES + 4 * 2**20, (K, C)
+            assert peak - scores.nbytes < 2 * acquisition._BLOCK_BYTES + 5 * 2**20, (K, C)
 
     @pytest.mark.parametrize("objective", ["epig", "la_epig", "mic"])
     @settings(max_examples=60, deadline=None)
