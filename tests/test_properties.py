@@ -529,8 +529,8 @@ def prob_tables(draw):
 
 
 class TestSlicedChecks:
-    """``check_probs``, ``float_array`` and the finite model's round-off clip
-    hold one slice's sums, or nothing as large as the array: the same
+    """``check_probs`` holds one slice's sums, and ``float_array`` and the
+    finite model's round-off clip nothing as large as the array: the same
     decisions and messages as the whole-array checks."""
 
     @settings(max_examples=300, deadline=None)
@@ -584,30 +584,26 @@ class TestSlicedChecks:
     @settings(max_examples=200, deadline=None)
     @given(prob_tables(), st.sampled_from(PLACES), st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_float_array_matches_the_whole_array_check(self, table, bad_at, bad):
+        """It reads the least and the greatest entry: no slices, no mask."""
         p = table[0].copy(order="K")
         if p.size and bad_at is not None:
             p[bad_at] = bad
         want = outcome(old_float_array, p, "tables")
-        for budget in SLICE_BUDGETS:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(prob, "_SLICE_BYTES", budget)
-                assert outcome(prob.float_array, p, "tables") == want
-                if want is None:
-                    assert prob.float_array(p, "tables") is p
+        assert outcome(prob.float_array, p, "tables") == want
+        if want is None:
+            assert prob.float_array(p, "tables") is p
 
     @settings(max_examples=200, deadline=None)
     @given(prob_tables(), st.sampled_from(PLACES), st.sampled_from([-0.0, -1e-300, -SUM_ATOL]))
     def test_clip_round_off_matches_the_whole_array_clip(self, table, neg_at, neg):
+        """It reads the least entry: no slices, no mask."""
         p = table[0].copy(order="K")
         if p.size and neg_at is not None:
             p[neg_at] = neg
         want = old_clip_round_off(p)
-        for budget in SLICE_BUDGETS:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(prob, "_SLICE_BYTES", budget)
-                got = finite._clip_round_off(p)
-            assert (got is p) == (want is p)
-            assert_same_array(got, want)
+        got = finite._clip_round_off(p)
+        assert (got is p) == (want is p)
+        assert_same_array(got, want)
 
     def test_demo_tables_check_within_two_mib(self):
         """The model's constructor at the demo's shape (256 hypotheses, a grid
