@@ -12,20 +12,11 @@ label): its per-target value is the mutual information of that joint, which
 makes EPIG non-negative by construction and ties it to LA-EPIG through
 EPIG(x) = sum_c p(y=c|x) * LA-EPIG(x, c).
 
-Every objective but random scores the candidates through one loop,
-``_blockwise``, so its memory does not grow with the pool: each candidate
+Every objective but random scores the candidates in blocks through one
+loop, :func:`_blockwise`, so its memory does not grow with the pool: each
 block computes its candidates' conditionals and what the objective builds
 from them (EPIG's (M, C, C) joint, LA-EPIG's (M, C) updated predictives,
-MIC's and RHO-LOSS's label masses), reduced in tasks of about
-``_TASK_BYTES``. A pool within ``_JOINT_BYTES`` (21 MiB, so that the
-criterion-07 EPIG pool fits) is one block, a larger one even blocks within
-``_BLOCK_BYTES`` (2 MiB), and one :func:`runner.share` call runs the blocks.
-One block runs on the calling thread, one expression over all its candidates,
-and shares its reduction tasks with the helper thread; of several blocks,
-each thread takes whole blocks (conditionals, joint and reduction), with two
-blocks in flight. A block's shape can move the last bits of a BLAS product,
-whose summation order follows it; the cut does not depend on the CPU count,
-so the bits do not either.
+MIC's and RHO-LOSS's label masses).
 
 MIC needs only the observed label's mass after the update. Sample-based
 models give it as E_w[lik^2] / E_w[lik], not as the updated weights times
@@ -49,13 +40,11 @@ from .runner import share
 OBJECTIVES = ("random", "mic", "epig", "la_epig", "rho_loss")
 TARGET_OBJECTIVES = ("epig", "la_epig")  # the objectives that score against targets
 
-# bytes of the per-candidate arrays that a kernel holds at once: the fewest
+# bytes of the per-candidate arrays of a pool that is one block: the fewest
 # whole MiB that hold the criterion-07 EPIG pool (200 candidates of
 # 107,520 B) in one block, whose bits ``test_one_block_is_bit_identical`` and
-# the benchmark's seed-0 ``harness_epig`` picks pin; a larger pool runs two
-# blocks of at most ``_BLOCK_BYTES`` (or half the budget, if less) at a time.
-# The budget can go once candidates within round-off of the best are ranked
-# as ties.
+# the benchmark's seed-0 ``harness_epig`` picks pin. The budget can go once
+# candidates within round-off of the best are ranked as ties.
 _JOINT_BYTES = 21 << 20
 
 # bytes of each block of a pool larger than ``_JOINT_BYTES``. On the 64x64
@@ -116,11 +105,13 @@ def _blockwise(n, row_bytes, build, reduce):
 
     A pool within ``_JOINT_BYTES`` is one block; a larger one is cut into the
     fewest even blocks within ``_BLOCK_BYTES`` (or half the budget, if less),
-    whatever the CPU count. One :func:`runner.share` call runs the blocks. It
-    runs a lone block on the caller, so the block's tasks are shared with the
-    helper; of several blocks, the thread that takes one builds it and runs
-    its tasks itself (a nested call), so the two blocks in flight hold at
-    most ``2 * _BLOCK_BYTES``."""
+    whatever the CPU count: a block's shape can move the last bits of a BLAS
+    product, so the bits follow the cut and not the CPUs. One
+    :func:`runner.share` call runs the blocks. It runs a lone block on the
+    caller, so the block's tasks are shared with the helper; of several
+    blocks, the thread that takes one builds it and runs its tasks itself (a
+    nested call), so the two blocks in flight hold at most
+    ``2 * _BLOCK_BYTES``."""
     scores = np.empty(n)
 
     def task(dest, block, part):

@@ -122,12 +122,14 @@ def _as_dir(value, path):
     return value
 
 
-def _as_int_list(value, path, minimum=None, non_empty=False):
+def _as_int_list(value, path, minimum=None, non_empty=False, distinct=False):
     if not isinstance(value, list) or (non_empty and not value):
         kind = "non-empty list" if non_empty else "list"
         raise ConfigError(f"{path} must be a {kind} of integers, got {value!r}")
     for i, v in enumerate(value):
         _as_int(v, f"{path}[{i}]", minimum)
+        if distinct and (first := value.index(v)) < i:
+            raise ConfigError(f"{path}[{i}] = {v} repeats {path}[{first}]")
     return value
 
 
@@ -234,7 +236,9 @@ _CONFIG = {
     })),
     "sampling": ({}, _section({"K": (20, _int(1))})),
     "training": ({}, _section(_TRAINING)),
-    "seeds": (lambda: [default_seed()], partial(_as_int_list, minimum=0, non_empty=True)),
+    # a repeated seed would run twice and count twice in the summary
+    "seeds": (lambda: [default_seed()],
+              partial(_as_int_list, minimum=0, non_empty=True, distinct=True)),
     "output": ({}, _section({"dir": ("results", _as_dir)})),
 }
 

@@ -18,14 +18,12 @@ computes it.
 Growth: the trees are grown together in blocks of at most ``_BLOCK_CELLS``
 feature x row entries, one depth level at a time. Every bootstrap is drawn
 before any block grows, so the blocks are independent: they go to
-:func:`runner.share`, which lets the calling thread and one helper thread
-grow them and returns them in block order, so each tree has the same bits
-whichever thread grows it. A tree searches its distinct bootstrap rows,
-each weighted by the number of times it was drawn: a repeated row never
-forms a cell, because a cell needs a change of value, so the weighted class
-counts left of each cell (integer-valued floats, exact) are those of a
-search over every drawn row. The weighted counts also decide ``min_leaf``,
-whether a node may split and its leaf distribution.
+:func:`runner.share`, which returns them in block order. A tree searches its
+distinct bootstrap rows, each weighted by the number of times it was drawn:
+a repeated row never forms a cell, because a cell needs a change of value,
+so the weighted class counts left of each cell (integer-valued floats,
+exact) are those of a search over every drawn row. The weighted counts also
+decide ``min_leaf``, whether a node may split and its leaf distribution.
 ``X``'s columns are argsorted once per fit (stably), and a tree's order for
 each feature is that order filtered to its rows; rows of equal value may
 then come in another order than a per-tree sort gives, which cannot change a

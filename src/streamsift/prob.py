@@ -40,9 +40,8 @@ def check_probs(p, name, axis=None):
     :func:`float_array`) is at least -``SUM_ATOL`` and every sum along ``axis`` (the
     whole array when None) lies within ``SUM_ATOL`` of 1. Shapes are the caller's.
 
-    The sums along ``axis`` are taken over slices of about ``_SLICE_BYTES`` (see
-    :func:`_slices`), so that a large table's check holds the sums of one slice;
-    each sum has the bits of the whole array's. ``axis=None`` is one sum."""
+    The sums along ``axis`` are taken over the slices of :func:`_slices`, so
+    that a large table's check holds the sums of one slice."""
     if p.size and p.min() < -SUM_ATOL:
         raise ValidationError(f"negative {name} entry: min={p.min()}")
     if axis is None:

@@ -41,8 +41,7 @@ def share(tasks):
     each task run once by the calling thread or the helper thread. The first
     exception of either thread's task empties the queue, so the other thread
     starts no further task, and re-raises here once the helper has stopped,
-    so no task runs once this returns. While another call owns the helper,
-    the calling thread runs every task itself."""
+    so no task runs once this returns."""
     tasks = list(tasks)
     owner = _owner
     if len(tasks) < 2 or _CPUS < 2 or not owner.acquire(blocking=False):

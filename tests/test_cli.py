@@ -660,6 +660,8 @@ def bad_input(tmp_path, case):
     if case == "score_rho_loss":
         return (score[:-1] + ["rho_loss"], {},
                 "argument --objective: invalid choice: 'rho_loss'")
+    if case == "override_repeated_seed":
+        return run + ["--override", "seeds=[0,0]"], {}, "error: seeds[1] = 0 repeats seeds[0]"
     if case == "override_on_a_list":
         (tmp_path / "list.json").write_text("[]\n")
         return (["run", "--config", str(tmp_path / "list.json"), "--override", "seeds=[0]"],
@@ -686,8 +688,8 @@ BAD_INPUTS = [
     "demo_resolution_0", "demo_resolution_-2", "demo_hypotheses_0", "demo_targets_0",
     "demo_seed_-1", "score_seed_-1", "score_sample-count_0", "env_seed_-3", "score_eta_nan",
     "override_eta_nan", "override_spread_infinity", "idx_header_overflow", "score_rho_loss",
-    "override_on_a_list", "file_as_demo_output_dir", "file_as_run_output_dir",
-    "under_file_as_demo_output_dir", "under_file_as_run_output_dir",
+    "override_repeated_seed", "override_on_a_list", "file_as_demo_output_dir",
+    "file_as_run_output_dir", "under_file_as_demo_output_dir", "under_file_as_run_output_dir",
 ]
 
 

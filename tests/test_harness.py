@@ -8,7 +8,9 @@ import pytest
 
 from streamsift import (
     ConfigError,
+    DataFormatError,
     TrainingDivergedError,
+    apply_strategy,
     harness,
     run_experiment,
     write_results,
@@ -530,6 +532,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(blob_config(store={"m": 8, "quota": 5}))
 
+    @pytest.mark.parametrize("seeds, message", [
+        ([0, 0], "seeds[1] = 0 repeats seeds[0]"),
+        ([3, 1, 3], "seeds[2] = 3 repeats seeds[0]"),
+    ])
+    def test_repeated_seed_is_rejected(self, seeds, message):
+        """A seed run twice would repeat its rows in results.csv and count
+        twice in the summary's means and standard errors."""
+        with pytest.raises(ConfigError) as err:
+            validate_config(blob_config(seeds=seeds))
+        assert str(err.value) == message
+
     def test_overrides(self):
         cfg = apply_overrides(blob_config(), ["store.m=4", "seeds=[3]"])
         validated = validate_config(cfg)
@@ -590,3 +603,126 @@ class TestConfigValidation:
     def test_experiment_config_echo_round_trip(self):
         config = ExperimentConfig.from_dict(blob_config())
         assert validate_config(config.echo()) == config.echo()
+
+
+class TestDrawnConfigs:
+    """Whole runs over small drawn configs: each is rejected as a whole or
+    runs every seed to the end, and a fault injected anywhere in one seed
+    fails that seed alone."""
+
+    @staticmethod
+    def drawn_config(draw, st):
+        steps = draw(st.integers(1, 2))
+        dataset = {
+            "source": "blobs", "num_classes": draw(st.integers(2, 4)),
+            "per_class": draw(st.integers(1, 6)), "dim": draw(st.integers(1, 2)),
+            "spread": draw(st.sampled_from([0.3, 1.0])),
+            "eval_per_class": draw(st.integers(1, 2)),
+            "target_per_class": draw(st.integers(0, 3)),
+            "holdout_per_class": draw(st.integers(0, 2)),
+        }
+        model = draw(st.sampled_from([
+            {"kind": "forest", "max_depth": 3},
+            {"kind": "dropout_mlp", "hidden": [4]},
+            {"kind": "dirichlet", "bins_per_dim": 2},
+        ]))
+        quota = draw(st.integers(1, 3))
+        return {
+            "stream": {"kind": draw(st.sampled_from(["split", "permuted", "stationary"])),
+                       "steps": steps, "seed": draw(st.integers(0, 3)), "dataset": dataset},
+            "model": model,
+            "objective": {"name": draw(st.sampled_from(
+                ["random", "mic", "epig", "la_epig", "rho_loss"]))},
+            "store": {"m": quota * steps + draw(st.integers(0, 1)), "quota": quota},
+            "targets": {"source": draw(st.sampled_from(["global", "seen_so_far"])),
+                        "M": draw(st.integers(1, 6))},
+            "sampling": {"K": draw(st.integers(1, 4))},
+            "training": {"max_steps": 10, "refit_every": draw(st.integers(1, 2))},
+            "seeds": draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True)),
+        }
+
+    @staticmethod
+    def run_with_hook(monkeypatch, cfg, hook):
+        """``run_experiment(cfg)`` with ``hook(seed, at)`` called before every
+        data preparation, fit, scoring and evaluation, where ``at`` is the
+        seed's {step, slot, phase}."""
+        now = {}
+
+        def run_seed(config, run, *args):
+            now["seed"], now["at"] = run.seed, args[-1]
+            return original_run_seed(config, run, *args)
+
+        def hooked(function):
+            def call(*args, **kwargs):
+                hook(now["seed"], dict(now["at"]))
+                return function(*args, **kwargs)
+            return call
+
+        def build_model(*args, **kwargs):
+            model = original_build_model(*args, **kwargs)
+            model.fit = hooked(model.fit)
+            return model
+
+        original_run_seed, original_build_model = harness._run_seed, harness.build_model
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_run_seed", run_seed)
+            patch.setattr(harness, "build_model", build_model)
+            for site in ("prepare_data", "score_pool", "evaluate_accuracy"):
+                patch.setattr(harness, site, hooked(getattr(harness, site)))
+            return run_experiment(cfg)
+
+    def test_drawn_runs_keep_the_contract(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            cfg = self.drawn_config(data.draw, st)
+            points = []
+            try:
+                clean = self.run_with_hook(
+                    monkeypatch, cfg, lambda seed, at: points.append((seed, at)))
+            except (ConfigError, DataFormatError):
+                return
+            config = ExperimentConfig.from_dict(cfg)
+            quota, steps = config.store["quota"], config.stream["steps"]
+            for run in clean.per_seed:
+                assert run.status == "ok", run.error
+                assert len(run.accuracies) == steps
+                assert all(0.0 <= a <= 1.0 for a in run.accuracies)
+                assert [track["size"] for track in run.store_track] == [
+                    quota * (t + 1) for t in range(steps)]
+                for t in range(steps):
+                    chosen = [s["chosen"] for s in run.selections if s["step"] == t]
+                    assert len(chosen) == len(set(chosen)) == quota
+                schedule = harness.prepare_data(config, run.seed, None)["schedule"]
+                _, ledger = apply_strategy("D", schedule, lambda ex, k, t, store: range(k),
+                                           quota, tau=config.store["tau"])
+                assert run.ledger == ledger.as_dict()
+
+            # a fault at one drawn point of the clean run's calls
+            index = data.draw(st.integers(0, len(points) - 1))
+            bad_seed, bad_at = points[index]
+            before = [at["phase"] for seed, at in points[:index] if seed == bad_seed]
+
+            def inject(seed, at):
+                if (seed, at) == (bad_seed, bad_at):
+                    raise RuntimeError("injected fault")
+
+            faulted = self.run_with_hook(monkeypatch, cfg, inject)
+            assert faulted.summary["seeds_failed"] == [bad_seed]
+            for run, ok in zip(faulted.per_seed, clean.per_seed):
+                if run.seed != bad_seed:
+                    assert vars(run) == vars(ok)
+                    continue
+                assert (run.status, run.error) == ("failed", "RuntimeError: injected fault")
+                assert run.failed_at == bad_at
+                # what the seed recorded before the fault, and nothing after it
+                steps_done = before.count("evaluate")
+                assert run.accuracies == ok.accuracies[:steps_done]
+                assert run.store_track == ok.store_track[:steps_done]
+                assert run.selections == ok.selections[:before.count("score")]
+                assert run.ledger == {}
+
+        check()
